@@ -1,0 +1,8 @@
+"""`python -m ionchain`: the same commands as the `ionchain` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modes as modes_mod
+from .errors import IonChainError
 
 __all__ = [
     "CouplingTensors",
@@ -63,7 +64,12 @@ def ion_tensor(u: np.ndarray) -> np.ndarray:
         + c.transpose(2, 0, 1)
         + c.transpose(2, 1, 0)
     ) / 6.0
-    assert np.max(np.abs(sym - c)) < 1e-14, "cubic tensor construction asymmetric"
+    asymmetry = float(np.max(np.abs(sym - c)))
+    if not asymmetry < 1e-14:
+        raise IonChainError(
+            f"cubic tensor construction asymmetric by {asymmetry:.1e} "
+            "(limit 1e-14)"
+        )
     return sym
 
 

@@ -17,11 +17,24 @@ the rotating-wave builder keeps only monomials whose interaction-picture
 phase nearly vanishes, which at a catalog resonance reproduces the
 down-conversion coupling with the expected collapsed coefficient
 6 D_mnp / (mu_p gamma_m gamma_n)^(1/4).
+
+Operators are never formed as dense ladder-matrix products. A ladder
+operator is index arithmetic on the mixed-radix basis: it moves state i
+by the mode's place value with amplitude sqrt(n) or sqrt(n + 1). Both
+interaction builders apply each cubic monomial to every basis column at
+once and scatter the result into the (dense, Hermitian) matrix; no
+ladder matrices are cached. Propagation splits the matrix into the
+connected blocks of its nonzero pattern, diagonalizes each block on its
+own, and skips blocks where the state has no amplitude. The blocks are
+the conserved sectors: the full cubic generator keeps the parities of
+total x and of total y occupation (4 blocks), and at a second-kind
+resonance the rotating-wave matrix couples |z_p = 1> only to the x-pair
+and y-pair states (a 3-state block at any cutoff).
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product as iter_product
 
 import numpy as np
@@ -223,22 +236,38 @@ class FockBasis:
         return amps
 
     def lowering(self, mode) -> np.ndarray:
-        return _lowering(self, _as_mode(mode))
+        return _dense(self, *_ladder(self, mode, raising=False))
 
     def raising(self, mode) -> np.ndarray:
-        return _lowering(self, _as_mode(mode)).conj().T
+        return _dense(self, *_ladder(self, mode, raising=True))
 
 
-@lru_cache(maxsize=256)
-def _lowering(basis: FockBasis, mode: tuple) -> np.ndarray:
+def _ladder(basis: FockBasis, mode, raising: bool) -> tuple:
+    """One ladder operator as (target, amp) over every basis state.
+
+    State i goes to target[i] with amplitude amp[i]: i - stride with
+    sqrt(n) when lowering, i + stride with sqrt(n + 1) when raising, where
+    n is the mode's occupation and stride its mixed-radix place value.
+    target is -1 (and amp 0) where the operator leaves the basis.
+    """
     k = basis.axis_of(mode)
-    single = np.diag(np.sqrt(np.arange(1, basis.cutoffs[k] + 1)), k=1)
-    op = np.eye(1)
-    for j, c in enumerate(basis.cutoffs):
-        op = np.kron(op, single if j == k else np.eye(c + 1))
-    out = op.astype(complex)
-    out.flags.writeable = False
-    return out
+    stride = int(np.prod(basis.shape[k + 1:], dtype=np.int64))
+    index = np.arange(basis.dimension)
+    n = (index // stride) % basis.shape[k]
+    if raising:
+        inside = n < basis.cutoffs[k]
+        target, amp = index + stride, np.sqrt(n + 1.0)
+    else:
+        inside = n > 0
+        target, amp = index - stride, np.sqrt(n.astype(float))
+    return np.where(inside, target, -1), np.where(inside, amp, 0.0)
+
+
+def _dense(basis: FockBasis, target: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    op = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    columns = np.flatnonzero(target >= 0)
+    op[target[columns], columns] = amp[columns]
+    return op
 
 
 @dataclass(frozen=True)
@@ -298,10 +327,45 @@ class HamiltonianMatrix:
 
     @cached_property
     def _eigensystem(self):
-        return np.linalg.eigh(self.matrix)
+        """Eigendecomposition of each connected block of the matrix.
+
+        Returns (order, starts, blocks): blocks holds one (indices,
+        eigenvalues, eigenvectors) per block, order concatenates the block
+        indices and starts marks where each block begins in order.
+        """
+        order, starts = _connected_blocks(self.matrix)
+        blocks = []
+        for idx in np.split(order, starts[1:]):
+            w, v = np.linalg.eigh(self.matrix[np.ix_(idx, idx)])
+            blocks.append((idx, w, v))
+        return order, starts, tuple(blocks)
 
     def expectation(self, state: QuantumState) -> float:
         return float(np.real(np.vdot(state.amplitudes, self.matrix @ state.amplitudes)))
+
+
+def _connected_blocks(matrix: np.ndarray) -> tuple:
+    """Connected components of the nonzero pattern as (order, starts).
+
+    order lists the indices component by component; starts marks where
+    each component begins in order. Label propagation: each state takes
+    the smallest label among its neighbours, then labels jump to the label
+    of their label until they settle; this repeats until no label changes,
+    when every component carries one label, the smallest index in it.
+    """
+    rows, cols = np.nonzero(matrix)
+    label = np.arange(matrix.shape[0])
+    while True:
+        before = label.copy()
+        # both directions: the pattern need only be symmetric to 1e-12
+        np.minimum.at(label, rows, label[cols])
+        np.minimum.at(label, cols, label[rows])
+        while not np.array_equal(label[label], label):
+            label = label[label]
+        if np.array_equal(label, before):
+            break
+    order = np.argsort(label, kind="stable")
+    return order, np.flatnonzero(np.diff(label[order], prepend=-1))
 
 
 # --- Hamiltonian builders -----------------------------------------------
@@ -377,6 +441,61 @@ def _cubic_triples(basis: FockBasis, mode_basis: ModeBasis, tensors: CouplingTen
                     yield coef, factors
 
 
+def _cubic_interaction(
+    basis: FockBasis,
+    mode_basis: ModeBasis,
+    tensors: CouplingTensors,
+    eps: float,
+    phase_cutoff: float | None,
+) -> tuple:
+    """Cubic monomials summed on the basis by occupation arithmetic.
+
+    Each position factor of a triple splits into a lowering and a raising
+    part, giving 8 monomials. phase_cutoff None keeps them all; otherwise
+    a monomial is kept if its summed interaction-picture phase (-freq per
+    lowering, +freq per raising factor) has magnitude <= phase_cutoff.
+    A monomial maps every basis column to at most one row, so it is
+    applied to all columns at once. Returns the matrix and the number of
+    monomials kept.
+    """
+    dim = basis.dimension
+    columns = np.arange(dim)
+    # extra state dim is a sink for amplitude that left the basis
+    ladders = {}
+    for mode in basis.modes:
+        for raising in (False, True):
+            target, amp = _ladder(basis, mode, raising)
+            ladders[mode, raising] = (
+                np.append(np.where(target < 0, dim, target), dim),
+                np.append(amp, 0.0),
+            )
+
+    h = np.zeros((dim, dim), dtype=complex)
+    kept = 0
+    for coef, factors in _cubic_triples(basis, mode_basis, tensors, eps):
+        if coef == 0.0:
+            continue
+        for signs in iter_product((False, True), repeat=3):
+            if phase_cutoff is not None:
+                phase = sum(
+                    (freq if s else -freq) for s, (_m, freq) in zip(signs, factors)
+                )
+                if abs(phase) > phase_cutoff:
+                    continue
+            # the rightmost factor acts first
+            (t1, a1), (t2, a2), (t3, a3) = (
+                ladders[mode, s] for s, (mode, _freq) in zip(signs, factors)
+            )
+            r3 = t3[columns]
+            r2 = t2[r3]
+            rows = t1[r2]
+            inside = rows < dim
+            values = coef * (a1[r2] * a2[r3] * a3[columns])
+            np.add.at(h, (rows[inside], columns[inside]), values[inside])
+            kept += 1
+    return h, kept
+
+
 def build_full_interaction(
     basis: FockBasis,
     mode_basis: ModeBasis,
@@ -389,16 +508,7 @@ def build_full_interaction(
     so the active set must contain them in mirrored pairs.
     """
     _check_transverse_mirror(basis)
-    dim = basis.dimension
-    h = np.zeros((dim, dim), dtype=complex)
-    for coef, factors in _cubic_triples(basis, mode_basis, tensors, eps):
-        if coef == 0.0:
-            continue
-        term = np.eye(dim, dtype=complex)
-        for mode, _freq in factors:
-            low = basis.lowering(mode)
-            term = term @ (low + low.conj().T)
-        h += coef * term
+    h, _kept = _cubic_interaction(basis, mode_basis, tensors, eps, None)
     return HamiltonianMatrix(matrix=h, flavor="full_interaction", basis=basis)
 
 
@@ -431,24 +541,7 @@ def build_rwa_interaction(
                 f"resonance ({resonance.m},{resonance.n},{resonance.p}) needs "
                 f"active modes {missing}"
             )
-    dim = basis.dimension
-    h = np.zeros((dim, dim), dtype=complex)
-    kept = 0
-    for coef, factors in _cubic_triples(basis, mode_basis, tensors, eps):
-        if coef == 0.0:
-            continue
-        for signs in iter_product((0, 1), repeat=3):
-            phase = sum(
-                (freq if s else -freq) for s, (_m, freq) in zip(signs, factors)
-            )
-            if abs(phase) > cutoff:
-                continue
-            term = np.eye(dim, dtype=complex)
-            for s, (mode, _freq) in zip(signs, factors):
-                low = basis.lowering(mode)
-                term = term @ (low.conj().T if s else low)
-            h += coef * term
-            kept += 1
+    h, kept = _cubic_interaction(basis, mode_basis, tensors, eps, cutoff)
     if kept == 0:
         raise NoResonantCouplingError(
             f"no resonant coupling: no cubic monomial is phase-matched to "
@@ -490,12 +583,19 @@ def evolve(state: QuantumState, h: HamiltonianMatrix, duration: float) -> Quantu
     """Exact unitary step exp(-i H duration) via eigendecomposition.
 
     duration is dimensionless (omega3 * elapsed seconds), matching the
-    H/(hbar omega3) scaling of the matrices.
+    H/(hbar omega3) scaling of the matrices. H is diagonalized one
+    connected block at a time; a block where the state has no amplitude
+    keeps none, so it is skipped.
     """
     if state.basis != h.basis:
         raise ValueError("state and Hamiltonian live on different bases")
-    w, v = h._eigensystem
-    amps = v @ (np.exp(-1j * w * duration) * (v.conj().T @ state.amplitudes))
+    order, starts, blocks = h._eigensystem
+    live = np.logical_or.reduceat(state.amplitudes[order] != 0, starts)
+    amps = np.zeros(state.basis.dimension, dtype=complex)
+    for b in np.flatnonzero(live):
+        idx, w, v = blocks[b]
+        coeffs = (state.amplitudes[idx].conj() @ v).conj()
+        amps[idx] = v @ (np.exp(-1j * w * duration) * coeffs)
     return QuantumState(basis=state.basis, amplitudes=amps, tau=state.tau + duration)
 
 

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,4 +310,14 @@ def test_console_script_entry_point():
     proc = subprocess.run(["ionchain", "equilibrium", "--n", "3"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+    assert "-1.07722" in proc.stdout
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "ionchain", "equilibrium",
+                           "--n", "3"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
     assert "-1.07722" in proc.stdout

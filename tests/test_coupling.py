@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionchain import coupling, equilibrium, modes
+from ionchain.errors import IonChainError
 
 
 def tensors_for(n, alpha=None):
@@ -40,6 +41,14 @@ def test_ion_tensor_sparsity_pattern():
                     assert t.ion[m, q, p] == 0.0
     # diagonal entries are strictly positive for edge ions
     assert t.ion[0, 0, 0] > 0.0
+
+
+def test_ion_tensor_rejects_coincident_ions():
+    # two ions at one position leave no finite, symmetric tensor; the
+    # check raises even under python -O, which strips asserts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(IonChainError, match="asymmetric"):
+            coupling.ion_tensor(np.array([-1.0, 0.0, 0.0, 1.0]))
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,185 @@ def test_rwa_and_full_agree_on_the_resonant_block(six_ion_resonance):
     block_r = h_rwa.matrix[np.ix_(idx, idx)]
     block_f = h_full.matrix[np.ix_(idx, idx)]
     assert np.max(np.abs(block_r - block_f)) < 1e-15
+
+
+# --- occupation-arithmetic builders against the dense construction ------
+
+def _reference_lowering(fock, mode):
+    """Dense lowering operator as a Kronecker product of single-mode ones."""
+    k = fock.axis_of(mode)
+    single = np.diag(np.sqrt(np.arange(1, fock.cutoffs[k] + 1)), k=1)
+    op = np.eye(1)
+    for j, c in enumerate(fock.cutoffs):
+        op = np.kron(op, single if j == k else np.eye(c + 1))
+    return op.astype(complex)
+
+
+def _reference_interaction(fock, basis, tensors, eps, phase_cutoff=None):
+    """Cubic operator by dense matrix products, one term at a time.
+
+    phase_cutoff None multiplies full position operators; otherwise only
+    the lowering/raising monomials whose phase is within it are summed.
+    """
+    dim = fock.dimension
+    low = {m: _reference_lowering(fock, m) for m in fock.modes}
+    h = np.zeros((dim, dim), dtype=complex)
+    for coef, factors in quantum._cubic_triples(fock, basis, tensors, eps):
+        if coef == 0.0:
+            continue
+        if phase_cutoff is None:
+            a, b, c = (low[mode] + low[mode].conj().T for mode, _f in factors)
+            h += coef * (a @ b @ c)
+            continue
+        for signs in product((0, 1), repeat=3):
+            phase = sum((freq if s else -freq)
+                        for s, (_m, freq) in zip(signs, factors))
+            if abs(phase) > phase_cutoff:
+                continue
+            a, b, c = (low[mode].conj().T if s else low[mode]
+                       for s, (mode, _f) in zip(signs, factors))
+            h += coef * (a @ b @ c)
+    return h
+
+
+def _six_ion_fock(six_ion_resonance, cutoff):
+    entry, _, basis, tensors, _ = six_ion_resonance
+    fock = quantum.FockBasis.uniform(quantum.resonance_mode_set(entry), cutoff)
+    return entry, basis, tensors, fock
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_builders_match_dense_reference(six_ion_resonance, cutoff):
+    entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, cutoff)
+    eps = 7.09e-4
+    for mode in fock.modes:
+        ref = _reference_lowering(fock, mode)
+        assert np.array_equal(fock.lowering(mode), ref)
+        assert np.array_equal(fock.raising(mode), ref.conj().T)
+    full = quantum.build_full_interaction(fock, basis, tensors, eps)
+    rwa = quantum.build_rwa_interaction(fock, basis, tensors, eps,
+                                        resonance=entry)
+    assert np.max(np.abs(
+        full.matrix - _reference_interaction(fock, basis, tensors, eps))) <= 1e-15
+    assert np.max(np.abs(
+        rwa.matrix - _reference_interaction(fock, basis, tensors, eps,
+                                            phase_cutoff=1e-9))) <= 1e-15
+
+
+def _dense_evolve(state, h, duration):
+    w, v = np.linalg.eigh(h.matrix)
+    return v @ (np.exp(-1j * w * duration) * (v.conj().T @ state.amplitudes))
+
+
+def test_sectored_evolve_matches_whole_matrix_eigh(six_ion_resonance):
+    entry, _, basis, tensors, fock = six_ion_resonance
+    eps = 7.09e-4
+    h0 = quantum.build_free_hamiltonian(fock, basis)
+    h_int = quantum.build_full_interaction(fock, basis, tensors, eps)
+    h = quantum.HamiltonianMatrix(matrix=h0.matrix + h_int.matrix,
+                                  flavor="full_interaction", basis=fock)
+    rng = np.random.default_rng(7)
+    psi, _, _ = quantum.down_conversion_states(fock, entry)
+    spread = rng.normal(size=fock.dimension) + 1j * rng.normal(size=fock.dimension)
+    for amps in (fock.number_state(psi), spread / np.linalg.norm(spread)):
+        state = quantum.QuantumState(basis=fock, amplitudes=amps)
+        # steps of the size the simulate command takes; over much longer
+        # steps both sides carry eigenvalue rounding times the duration
+        for duration in (0.3, 7.0):
+            got = quantum.evolve(state, h, duration).amplitudes
+            assert np.max(np.abs(got - _dense_evolve(state, h, duration))) <= 1e-12
+
+
+def _reference_components(pattern):
+    """Connected components by depth-first search, edges either way."""
+    owner = [-1] * len(pattern)
+    components = []
+    for start in range(len(pattern)):
+        if owner[start] >= 0:
+            continue
+        owner[start] = start
+        stack, members = [start], []
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for j in np.flatnonzero(pattern[i] | pattern[:, i]):
+                if owner[j] < 0:
+                    owner[j] = start
+                    stack.append(j)
+        components.append(sorted(members))
+    return sorted(components)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_connected_blocks_match_graph_search(seed):
+    rng = np.random.default_rng(seed)
+    n = 60
+    mat = np.zeros((n, n), dtype=complex)
+    # one-sided entries: a link counts whichever triangle it sits in
+    rows, cols = rng.integers(0, n, size=(2, 45))
+    mat[rows, cols] = 1e-14j
+    order, starts = quantum._connected_blocks(mat)
+    got = sorted(sorted(b.tolist()) for b in np.split(order, starts[1:]))
+    assert got == _reference_components(mat != 0)
+
+
+def test_sectored_evolve_on_planted_blocks():
+    fock = quantum.FockBasis.uniform((("z", 1), ("x", 1), ("y", 1)), 2)
+    dim = fock.dimension
+    rng = np.random.default_rng(11)
+    # three blocks over scattered indices plus a one-state block
+    labels = rng.permutation(np.arange(dim) % 3)
+    labels[0] = 3
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat = (mat + mat.conj().T) * (labels[:, None] == labels[None, :])
+    h = quantum.HamiltonianMatrix(matrix=mat, flavor="free", basis=fock)
+    order, starts, blocks = h._eigensystem
+    assert sorted(len(idx) for idx, _w, _v in blocks) == sorted(
+        np.bincount(labels))
+    assert sorted(order) == list(range(dim))
+    for idx, _w, _v in blocks:
+        assert len(set(labels[idx])) == 1
+    spread = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    # amplitude in every block, then in one block only (the rest skipped)
+    one_block = np.where(labels == 1, spread, 0.0)
+    for amps in (spread, one_block):
+        state = quantum.QuantumState(basis=fock,
+                                     amplitudes=amps / np.linalg.norm(amps))
+        got = quantum.evolve(state, h, 0.9).amplitudes
+        assert np.max(np.abs(got - _dense_evolve(state, h, 0.9))) <= 1e-12
+    assert np.all(got[labels != 1] == 0.0)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_rwa_pump_block_is_the_three_state_problem(six_ion_resonance, cutoff):
+    entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, cutoff)
+    h = quantum.build_rwa_interaction(fock, basis, tensors, 7.09e-4,
+                                      resonance=entry)
+    states = quantum.down_conversion_states(fock, entry)
+    pump = fock.index_of(states[0])
+    block = next(idx for idx, _w, _v in h._eigensystem[2] if pump in idx)
+    assert sorted(block) == sorted(fock.index_of(s) for s in states)
+
+
+def test_full_generator_splits_into_parity_sectors(six_ion_resonance):
+    _, _, basis, tensors, fock = six_ion_resonance
+    h0 = quantum.build_free_hamiltonian(fock, basis)
+    h_int = quantum.build_full_interaction(fock, basis, tensors, 7.09e-4)
+    h = quantum.HamiltonianMatrix(matrix=h0.matrix + h_int.matrix,
+                                  flavor="full_interaction", basis=fock)
+    blocks = h._eigensystem[2]
+    assert len(blocks) == 4
+    occ = np.stack(np.unravel_index(np.arange(fock.dimension), fock.shape),
+                   axis=1)
+    x_axes = [k for k, (d, _i) in enumerate(fock.modes) if d == "x"]
+    y_axes = [k for k, (d, _i) in enumerate(fock.modes) if d == "y"]
+    parities = set()
+    for idx, _w, _v in blocks:
+        x_par = occ[idx][:, x_axes].sum(axis=1) % 2
+        y_par = occ[idx][:, y_axes].sum(axis=1) % 2
+        assert len(set(x_par)) == 1 and len(set(y_par)) == 1
+        parities.add((x_par[0], y_par[0]))
+    assert len(parities) == 4
 
 
 def test_rwa_refuses_off_resonant_anisotropy(six_ion_resonance):
