@@ -13,13 +13,9 @@ from .coupling import (
     coupling_tensors,
     ion_tensor,
     mode_tensor,
-    nonzero_records,
 )
 from .equilibrium import (
-    EquilibriumChain,
     IonSpecies,
-    TrapConfig,
-    build_chain,
     length_scale,
     solve_equilibrium,
     species,
@@ -38,12 +34,10 @@ from .modes import (
     critical_anisotropy,
     diagonalize,
     mode_basis,
-    transverse_matrix,
 )
 from .quantum import (
     FockBasis,
     HamiltonianMatrix,
-    NonlinearityScale,
     QuantumState,
     build_free_hamiltonian,
     build_full_interaction,
@@ -53,7 +47,6 @@ from .quantum import (
     entanglement_entropy,
     evolve,
     nonlinearity_epsilon,
-    nonlinearity_scale,
     resonance_mode_set,
     rwa_coefficient,
     three_state_solution,
@@ -85,7 +78,6 @@ __all__ = [
     "ConvergenceError",
     "CouplingTensors",
     "DegenerateModesError",
-    "EquilibriumChain",
     "FIRST_KIND",
     "FockBasis",
     "HamiltonianMatrix",
@@ -95,19 +87,16 @@ __all__ = [
     "ModeBasis",
     "ModeProjection",
     "NoResonantCouplingError",
-    "NonlinearityScale",
     "QuantumState",
     "ResonanceEntry",
     "SECOND_KIND",
     "Trajectory",
-    "TrapConfig",
     "UnstableTrajectoryError",
     "ZigZagError",
     "accelerations",
     "alpha_min",
     "axial_matrix",
     "build_catalog",
-    "build_chain",
     "build_free_hamiltonian",
     "build_full_interaction",
     "build_rwa_interaction",
@@ -129,15 +118,12 @@ __all__ = [
     "mode_projection",
     "mode_tensor",
     "nonlinearity_epsilon",
-    "nonlinearity_scale",
-    "nonzero_records",
     "resonance_mode_set",
     "rwa_coefficient",
     "solve_equilibrium",
     "species",
     "spectrum",
     "three_state_solution",
-    "transverse_matrix",
     "wavepacket_epsilon",
     "__version__",
 ]

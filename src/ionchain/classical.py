@@ -76,18 +76,40 @@ class Trajectory:
         return abs(tail - head) / scale
 
 
-def _pair_geometry(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise separation vectors and distances, with the diagonal masked."""
-    diff = positions[..., :, None, :] - positions[..., None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    n = positions.shape[-2]
-    eye = np.eye(n, dtype=bool)
-    off = ~eye
-    if np.any(dist[..., off] == 0.0):
-        raise ValueError("coincident ion positions")
-    # park the diagonal at 1 so inverse powers stay finite
-    dist = dist + eye
-    return diff, dist
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair indices i < j and the (n, pairs) scatter matrix.
+
+    The scatter matrix adds each pair term to ion i (+1) and subtracts it
+    from ion j (-1).
+    """
+    iu, ju = np.triu_indices(n, k=1)
+    cols = np.arange(iu.size)
+    scatter = np.zeros((n, iu.size))
+    scatter[iu, cols] = 1.0
+    scatter[ju, cols] = -1.0
+    return iu, ju, scatter
+
+
+def _separations(pos: np.ndarray, iu: np.ndarray,
+                 ju: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair separation vectors r_i - r_j and their squared lengths."""
+    d = pos[..., iu, :] - pos[..., ju, :]
+    return d, np.einsum("...pk,...pk->...p", d, d)
+
+
+def _stiffness(alpha: float) -> np.ndarray:
+    return np.array([1.0 / alpha, 1.0 / alpha, 1.0])
+
+
+def _force(pos: np.ndarray, iu: np.ndarray, ju: np.ndarray,
+           scatter: np.ndarray, stiff: np.ndarray) -> np.ndarray:
+    """Coulomb plus trap force per unit mass over (..., n, 3), unchecked.
+
+    Coincident ions give NaN rather than an error; callers either check
+    first or catch the NaN downstream.
+    """
+    d, r2 = _separations(pos, iu, ju)
+    return scatter @ (d * r2[..., None] ** -1.5) - pos * stiff
 
 
 def accelerations(positions: np.ndarray, alpha: float) -> np.ndarray:
@@ -102,50 +124,44 @@ def accelerations(positions: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError("positions must have shape (..., n, 3)")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    diff, dist = _pair_geometry(pos)
-    inv3 = dist ** -3
-    n = pos.shape[-2]
-    inv3 = inv3 * ~np.eye(n, dtype=bool)
-    coulomb = np.sum(diff * inv3[..., None], axis=-2)
-    stiff = np.array([1.0 / alpha, 1.0 / alpha, 1.0])
-    return coulomb - pos * stiff
+    iu, ju, scatter = _pairs(pos.shape[-2])
+    if np.any(_separations(pos, iu, ju)[1] == 0.0):
+        raise ValueError("coincident ion positions")
+    return _force(pos, iu, ju, scatter, _stiffness(alpha))
 
 
 def potential_energy(positions: np.ndarray, alpha: float) -> np.ndarray:
     """Trap plus Coulomb potential, shape (...,) over leading axes."""
     pos = np.asarray(positions, dtype=float)
-    stiff = np.array([1.0 / alpha, 1.0 / alpha, 1.0])
-    trap = 0.5 * np.sum(pos * pos * stiff, axis=(-2, -1))
-    _, dist = _pair_geometry(pos)
-    n = pos.shape[-2]
-    pair = np.triu(np.ones((n, n), dtype=bool), k=1)
-    coulomb = np.sum((1.0 / dist) * pair, axis=(-2, -1))
-    return trap + coulomb
+    trap = 0.5 * np.sum(pos * pos * _stiffness(alpha), axis=(-2, -1))
+    _, r2 = _separations(pos, *np.triu_indices(pos.shape[-2], k=1))
+    if np.any(r2 == 0.0):
+        raise ValueError("coincident ion positions")
+    return trap + np.sum(1.0 / np.sqrt(r2), axis=-1)
 
 
-def _potential_offset(pos: np.ndarray, ref: np.ndarray, alpha: float) -> float:
+def _potential_offset(pos: np.ndarray, ref: np.ndarray,
+                      alpha: float) -> np.ndarray:
     """V(pos) - V(ref) evaluated without subtracting two large potentials.
 
+    pos has shape (..., n, 3) and ref (n, 3); the result has shape (...,).
     A naive difference loses every digit below V(ref) * eps, which swamps
     the tiny energies of small-amplitude runs.  Difference-of-squares
     forms keep the roundoff scaled to the offset itself.
     """
-    stiff = np.array([1.0 / alpha, 1.0 / alpha, 1.0])
     dp = pos - ref
-    trap = 0.5 * float(np.sum(dp * (pos + ref) * stiff))
+    trap = 0.5 * np.sum(dp * (pos + ref) * _stiffness(alpha), axis=(-2, -1))
     # pair separations built from per-ion displacements, so the change in
     # r^2 never touches the O(1) separation roundoff
-    n = pos.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    d0 = (ref[:, None, :] - ref[None, :, :])[iu, ju]
-    dz = (dp[:, None, :] - dp[None, :, :])[iu, ju]
-    r02 = np.einsum("pk,pk->p", d0, d0)
+    iu, ju = np.triu_indices(ref.shape[-2], k=1)
+    d0, r02 = _separations(ref, iu, ju)
+    dz, dz2 = _separations(dp, iu, ju)
     # r^2 - r0^2 = 2 d0.dz + |dz|^2
-    cross = 2.0 * np.einsum("pk,pk->p", d0, dz) + np.einsum("pk,pk->p", dz, dz)
+    cross = 2.0 * np.einsum("pk,...pk->...p", d0, dz) + dz2
     r0 = np.sqrt(r02)
     r = np.sqrt(r02 + cross)
     # 1/r - 1/r0 = (r0^2 - r^2) / (r * r0 * (r + r0))
-    coulomb = float(np.sum(-cross / (r * r0 * (r + r0))))
+    coulomb = np.sum(-cross / (r * r0 * (r + r0)), axis=-1)
     return trap + coulomb
 
 
@@ -195,50 +211,38 @@ def integrate(u: np.ndarray, basis: ModeBasis,
     eq_pos = np.zeros((u.size, 3))
     eq_pos[:, 2] = u
 
-    # local force evaluation without the checks of accelerations(); the
-    # sampling hook below catches blowups (including the NaNs a collision
-    # would produce) before anything is stored
+    # the loop skips the checks of accelerations(); the sampling check
+    # below catches blowups (including the NaNs a collision would
+    # produce) before anything is stored
     n = u.size
-    diag = np.arange(n)
-    stiff = np.array([1.0 / alpha, 1.0 / alpha, 1.0])
-
-    def force(p: np.ndarray) -> np.ndarray:
-        diff = p[:, None, :] - p[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        d2[diag, diag] = 1.0
-        inv3 = d2 ** -1.5
-        inv3[diag, diag] = 0.0
-        return np.einsum("ijk,ij->ik", diff, inv3) - p * stiff
+    iu, ju, scatter = _pairs(n)
+    stiff = _stiffness(alpha)
 
     samples = n_steps // stride + 1
-    times = np.empty(samples)
     traj_pos = np.empty((samples, n, 3))
     traj_vel = np.empty_like(traj_pos)
-    energy = np.empty(samples)
 
-    def record(k: int, step: int) -> None:
+    def record(step: int) -> None:
         if not np.isfinite(pos).all() or np.max(np.abs(pos)) > POSITION_BOUND:
             raise UnstableTrajectoryError(
                 f"ion coordinate exceeded {POSITION_BOUND:g} at t = {step * dt:g}")
-        times[k] = step * dt
-        traj_pos[k] = pos
-        traj_vel[k] = vel
-        kinetic = 0.5 * float(np.sum(vel * vel))
-        energy[k] = kinetic + _potential_offset(pos, eq_pos, alpha)
+        traj_pos[step // stride] = pos
+        traj_vel[step // stride] = vel
 
-    record(0, 0)
-    acc = force(pos)
-    k = 1
+    record(0)
+    acc = _force(pos, iu, ju, scatter, stiff)
     for step in range(1, n_steps + 1):
         vel += 0.5 * dt * acc
         pos += dt * vel
-        acc = force(pos)
+        acc = _force(pos, iu, ju, scatter, stiff)
         vel += 0.5 * dt * acc
         if step % stride == 0:
-            record(k, step)
-            k += 1
-    return Trajectory(times=times, positions=traj_pos[:k],
-                      velocities=traj_vel[:k], total_energy=energy[:k])
+            record(step)
+    kinetic = 0.5 * np.sum(traj_vel * traj_vel, axis=(-2, -1))
+    energy = kinetic + _potential_offset(traj_pos, eq_pos, alpha)
+    return Trajectory(times=np.arange(0, n_steps + 1, stride) * dt,
+                      positions=traj_pos, velocities=traj_vel,
+                      total_energy=energy)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ __all__ = [
     "mode_tensor",
     "coupling_tensors",
     "check_identities",
-    "nonzero_records",
 ]
 
 
@@ -36,8 +35,9 @@ def ion_tensor(u: np.ndarray) -> np.ndarray:
         C_mmm = sum_{q != m} w_mq,
         C_mmp = C_mpm = C_pmm = -w_mp   for p != m.
 
-    The result is symmetrized over all index permutations and checked to
-    be symmetric to 1e-14 before returning.
+    Each entry is assigned directly, so the tensor is symmetric by
+    construction; the check that it equals all five index transposes is
+    exact and trips on the NaNs of coincident ions.
     """
     u = np.asarray(u, dtype=float)
     n = u.size
@@ -47,30 +47,19 @@ def ion_tensor(u: np.ndarray) -> np.ndarray:
     w[off] = np.sign(-diff[off]) / diff[off] ** 4
 
     c = np.zeros((n, n, n))
-    for m in range(n):
-        c[m, m, m] = w[m].sum()
-        for p in range(n):
-            if p == m:
-                continue
-            c[m, m, p] = -w[m, p]
-            c[m, p, m] = -w[m, p]
-            c[p, m, m] = -w[m, p]
+    m, p = np.nonzero(off)
+    c[m, m, p] = c[m, p, m] = c[p, m, m] = -w[m, p]
+    i = np.arange(n)
+    c[i, i, i] = w.sum(axis=1)
 
-    sym = (
-        c
-        + c.transpose(0, 2, 1)
-        + c.transpose(1, 0, 2)
-        + c.transpose(1, 2, 0)
-        + c.transpose(2, 0, 1)
-        + c.transpose(2, 1, 0)
-    ) / 6.0
-    asymmetry = float(np.max(np.abs(sym - c)))
-    if not asymmetry < 1e-14:
-        raise IonChainError(
-            f"cubic tensor construction asymmetric by {asymmetry:.1e} "
-            "(limit 1e-14)"
-        )
-    return sym
+    for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        if not np.array_equal(c, c.transpose(perm)):
+            asymmetry = float(np.max(np.abs(c - c.transpose(perm))))
+            raise IonChainError(
+                f"cubic tensor construction asymmetric by {asymmetry:.1e} "
+                f"under index permutation {perm}"
+            )
+    return c
 
 
 def mode_tensor(ion: np.ndarray, basis: modes_mod.ModeBasis) -> np.ndarray:
@@ -169,22 +158,3 @@ def check_identities(
         position_weighted=position_weighted,
         stretch_diagonal=stretch_diagonal,
     )
-
-
-def nonzero_records(tensors: CouplingTensors, threshold: float = 0.0):
-    """Flat (m, n, p, C_mnp, D_mnp) records, 1-based, |value| > threshold.
-
-    A record is kept if either tensor entry clears the threshold; this is
-    the external dump format, with N and stretch_norm carried separately
-    as header data.
-    """
-    n = tensors.n_ions
-    out = []
-    for m in range(n):
-        for nn in range(n):
-            for p in range(n):
-                cv = tensors.ion[m, nn, p]
-                dv = tensors.mode[m, nn, p]
-                if abs(cv) > threshold or abs(dv) > threshold:
-                    out.append((m + 1, nn + 1, p + 1, float(cv), float(dv)))
-    return out

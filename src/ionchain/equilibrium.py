@@ -12,16 +12,14 @@ import numpy as np
 
 from . import constants
 from .errors import ConvergenceError
+from .modes import axial_matrix
 
 __all__ = [
     "IonSpecies",
-    "TrapConfig",
-    "EquilibriumChain",
     "species",
     "length_scale",
     "equilibrium_residual",
     "solve_equilibrium",
-    "build_chain",
 ]
 
 
@@ -48,29 +46,6 @@ def species(name: str) -> IonSpecies:
         known = ", ".join(sorted(constants.ION_MASS_U))
         raise ValueError(f"unknown species {name!r}; known: {known}") from None
     return IonSpecies(name=name, mass=mass_u * constants.ATOMIC_MASS)
-
-
-@dataclass(frozen=True)
-class TrapConfig:
-    """Trap operating point: ion count, species, axial frequency, anisotropy.
-
-    omega3 is the axial centre-of-mass angular frequency (rad/s); alpha is
-    the squared frequency ratio (omega3/omega_transverse)^2, small for a
-    stiff transverse confinement.
-    """
-
-    n_ions: int
-    ion: IonSpecies
-    omega3: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.n_ions < 1:
-            raise ValueError(f"n_ions must be >= 1, got {self.n_ions}")
-        if not self.omega3 > 0.0:
-            raise ValueError(f"omega3 must be positive, got {self.omega3}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
 def length_scale(ion: IonSpecies, omega3: float) -> float:
@@ -101,17 +76,6 @@ def equilibrium_residual(u: np.ndarray) -> np.ndarray:
     return u - force.sum(axis=1)
 
 
-def _residual_jacobian(u: np.ndarray) -> np.ndarray:
-    # d(residual)/du; coincides with the axial mode matrix.
-    diff = u[:, None] - u[None, :]
-    off = ~np.eye(u.size, dtype=bool)
-    inv3 = np.zeros_like(diff)
-    inv3[off] = np.abs(diff[off]) ** -3
-    jac = -2.0 * inv3
-    np.fill_diagonal(jac, 1.0 + 2.0 * inv3.sum(axis=1))
-    return jac
-
-
 def _initial_guess(n: int) -> np.ndarray:
     # Uniformly spaced ansatz u_m = s (m - (N+1)/2); the scale s makes the
     # residual vanish at the outermost ion.
@@ -125,11 +89,11 @@ def _initial_guess(n: int) -> np.ndarray:
 def solve_equilibrium(n_ions: int, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
     """Dimensionless equilibrium positions of n_ions ions, sorted ascending.
 
-    Damped Newton iteration on the force-balance residual with its
-    analytic Jacobian, starting from a uniformly spaced ansatz. Steps are
-    halved until they reduce the residual and preserve the ion ordering.
-    The converged solution is symmetrized about the origin, which the
-    exact solution respects.
+    Damped Newton iteration on the force-balance residual, whose Jacobian
+    is the axial mode matrix, starting from a uniformly spaced ansatz.
+    Steps are halved until they reduce the residual and preserve the ion
+    ordering. The converged solution is symmetrized about the origin,
+    which the exact solution respects.
 
     Raises ConvergenceError if the residual sup-norm is not below tol
     within max_iter iterations.
@@ -145,7 +109,7 @@ def solve_equilibrium(n_ions: int, tol: float = 1e-12, max_iter: int = 200) -> n
         norm = np.max(np.abs(res))
         if norm < tol:
             break
-        step = np.linalg.solve(_residual_jacobian(u), res)
+        step = np.linalg.solve(axial_matrix(u), res)
         damping = 1.0
         for _ in range(60):
             trial = u - damping * step
@@ -169,45 +133,3 @@ def solve_equilibrium(n_ions: int, tol: float = 1e-12, max_iter: int = 200) -> n
 
     u = 0.5 * (u - u[::-1])
     return u
-
-
-@dataclass(frozen=True)
-class EquilibriumChain:
-    """Solved chain: dimensionless positions u plus the length scale in m.
-
-    Physical positions are u * ell. Validated on construction: positions
-    strictly increasing, reflection-antisymmetric, zero mean, and force
-    balance satisfied to 1e-10.
-    """
-
-    u: np.ndarray
-    ell: float
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        u.flags.writeable = False
-        object.__setattr__(self, "u", u)
-        if not self.ell > 0.0:
-            raise ValueError(f"length scale must be positive, got {self.ell}")
-        if u.size > 1 and not np.all(np.diff(u) > 0.0):
-            raise ValueError("positions must be strictly increasing")
-        if np.max(np.abs(u + u[::-1])) > 1e-9:
-            raise ValueError("positions must be symmetric about the origin")
-        if np.max(np.abs(equilibrium_residual(u))) > 1e-10:
-            raise ValueError("positions do not satisfy force balance")
-
-    @property
-    def n_ions(self) -> int:
-        return self.u.size
-
-    def positions_m(self) -> np.ndarray:
-        """Physical axial positions in metres."""
-        return self.u * self.ell
-
-
-def build_chain(config: TrapConfig) -> EquilibriumChain:
-    """Solve the chain for a trap operating point."""
-    return EquilibriumChain(
-        u=solve_equilibrium(config.n_ions),
-        ell=length_scale(config.ion, config.omega3),
-    )

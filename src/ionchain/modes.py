@@ -18,7 +18,6 @@ from .errors import DegenerateModesError, IonChainError, ZigZagError
 __all__ = [
     "ModeBasis",
     "axial_matrix",
-    "transverse_matrix",
     "critical_anisotropy",
     "diagonalize",
     "mode_basis",
@@ -46,14 +45,6 @@ def axial_matrix(u: np.ndarray) -> np.ndarray:
     return a
 
 
-def transverse_matrix(axial: np.ndarray, alpha: float) -> np.ndarray:
-    """Transverse coupling matrix B = (1/alpha + 1/2) I - A/2."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    axial = np.asarray(axial, dtype=float)
-    return (1.0 / alpha + 0.5) * np.eye(axial.shape[0]) - 0.5 * axial
-
-
 def critical_anisotropy(mu: np.ndarray) -> float:
     """Zig-zag threshold alpha_crit = 2/(mu_N - 1) from axial eigenvalues."""
     mu = np.asarray(mu, dtype=float)
@@ -68,21 +59,17 @@ class ModeBasis:
 
     vectors[:, p] is the ion-amplitude pattern of mode p (0-based column
     index; mode numbering in formulas is 1-based). Sign convention: the
-    last ion's amplitude is positive in every mode. axial_freqs and
-    transverse_freqs are angular frequencies omega3*sqrt(mu) and
-    omega3*sqrt(gamma) in rad/s.
+    last ion's amplitude is positive in every mode. Frequencies are
+    sqrt(mu) and sqrt(gamma) in units of omega3.
     """
 
     mu: np.ndarray
     gamma: np.ndarray
     vectors: np.ndarray
-    axial_freqs: np.ndarray
-    transverse_freqs: np.ndarray
     alpha: float
-    omega3: float
 
     def __post_init__(self):
-        for name in ("mu", "gamma", "vectors", "axial_freqs", "transverse_freqs"):
+        for name in ("mu", "gamma", "vectors"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -92,7 +79,7 @@ class ModeBasis:
         return self.mu.size
 
 
-def diagonalize(axial: np.ndarray, alpha: float, omega3: float = 1.0) -> ModeBasis:
+def diagonalize(axial: np.ndarray, alpha: float) -> ModeBasis:
     """Diagonalize the chain's quadratic forms into a ModeBasis.
 
     Parameters
@@ -102,9 +89,6 @@ def diagonalize(axial: np.ndarray, alpha: float, omega3: float = 1.0) -> ModeBas
     alpha : float
         Trap anisotropy (omega3/omega_transverse)^2; must lie strictly
         below the zig-zag threshold for N >= 2.
-    omega3 : float
-        Axial centre-of-mass angular frequency used to scale the mode
-        frequencies; 1.0 keeps everything dimensionless.
 
     Raises
     ------
@@ -116,8 +100,6 @@ def diagonalize(axial: np.ndarray, alpha: float, omega3: float = 1.0) -> ModeBas
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if not omega3 > 0.0:
-        raise ValueError(f"omega3 must be positive, got {omega3}")
     axial = np.asarray(axial, dtype=float)
     if axial.ndim != 2 or axial.shape[0] != axial.shape[1]:
         raise ValueError("axial matrix must be square")
@@ -149,17 +131,9 @@ def diagonalize(axial: np.ndarray, alpha: float, omega3: float = 1.0) -> ModeBas
             vectors[:, p] = -vectors[:, p]
 
     gamma = 1.0 / alpha + 0.5 - 0.5 * mu
-    return ModeBasis(
-        mu=mu,
-        gamma=gamma,
-        vectors=vectors,
-        axial_freqs=omega3 * np.sqrt(mu),
-        transverse_freqs=omega3 * np.sqrt(gamma),
-        alpha=alpha,
-        omega3=omega3,
-    )
+    return ModeBasis(mu=mu, gamma=gamma, vectors=vectors, alpha=alpha)
 
 
-def mode_basis(u: np.ndarray, alpha: float, omega3: float = 1.0) -> ModeBasis:
+def mode_basis(u: np.ndarray, alpha: float) -> ModeBasis:
     """Convenience wrapper: build the axial matrix at u and diagonalize."""
-    return diagonalize(axial_matrix(u), alpha, omega3)
+    return diagonalize(axial_matrix(u), alpha)

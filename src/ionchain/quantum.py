@@ -32,7 +32,6 @@ resonance the rotating-wave matrix couples |z_p = 1> only to the x-pair
 and y-pair states (a 3-state block at any cutoff).
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
@@ -47,7 +46,6 @@ from .coupling import CouplingTensors
 from .resonances import ResonanceEntry, SECOND_KIND
 
 __all__ = [
-    "NonlinearityScale",
     "FockBasis",
     "QuantumState",
     "HamiltonianMatrix",
@@ -55,7 +53,6 @@ __all__ = [
     "wavepacket_epsilon",
     "rwa_coefficient",
     "coupling_rate",
-    "nonlinearity_scale",
     "resonance_mode_set",
     "down_conversion_states",
     "build_free_hamiltonian",
@@ -120,39 +117,6 @@ def rwa_coefficient(entry: ResonanceEntry, mu) -> float:
 def coupling_rate(eps: float, omega3: float, entry: ResonanceEntry, mu) -> float:
     """Down-conversion rate Gamma = eps*omega3*6D/(mu_p g_m g_n)^(1/4), rad/s."""
     return eps * omega3 * rwa_coefficient(entry, mu)
-
-
-@dataclass(frozen=True)
-class NonlinearityScale:
-    """eps and, when a resonance is targeted, the rate Gamma in rad/s."""
-
-    epsilon: float
-    Gamma: float | None = None
-
-    def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.epsilon > 0.1:
-            warnings.warn(
-                f"epsilon = {self.epsilon:.3g} is not small; the cubic "
-                "term is not a perturbation",
-                stacklevel=2,
-            )
-
-
-def nonlinearity_scale(
-    ion: IonSpecies,
-    omega3: float,
-    entry: ResonanceEntry | None = None,
-    mu=None,
-) -> NonlinearityScale:
-    eps = nonlinearity_epsilon(ion, omega3)
-    gamma_rate = None
-    if entry is not None:
-        if mu is None:
-            raise ValueError("axial eigenvalues needed to evaluate Gamma")
-        gamma_rate = coupling_rate(eps, omega3, entry, mu)
-    return NonlinearityScale(epsilon=eps, Gamma=gamma_rate)
 
 
 # --- basis and states ---------------------------------------------------

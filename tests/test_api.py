@@ -1,0 +1,77 @@
+import subprocess
+import sys
+
+import ionchain
+
+PUBLIC_NAMES = [
+    "CODATA_VERSION",
+    "ConvergenceError",
+    "CouplingTensors",
+    "DegenerateModesError",
+    "FIRST_KIND",
+    "FockBasis",
+    "HamiltonianMatrix",
+    "IdentityReport",
+    "IonChainError",
+    "IonSpecies",
+    "ModeBasis",
+    "ModeProjection",
+    "NoResonantCouplingError",
+    "QuantumState",
+    "ResonanceEntry",
+    "SECOND_KIND",
+    "Trajectory",
+    "UnstableTrajectoryError",
+    "ZigZagError",
+    "__version__",
+    "accelerations",
+    "alpha_min",
+    "axial_matrix",
+    "build_catalog",
+    "build_free_hamiltonian",
+    "build_full_interaction",
+    "build_rwa_interaction",
+    "candidate_alpha",
+    "check_identities",
+    "classify",
+    "coupling_rate",
+    "coupling_tensors",
+    "critical_anisotropy",
+    "delta",
+    "diagonalize",
+    "down_conversion_states",
+    "entanglement_entropy",
+    "evolve",
+    "integrate",
+    "ion_tensor",
+    "length_scale",
+    "mode_basis",
+    "mode_projection",
+    "mode_tensor",
+    "nonlinearity_epsilon",
+    "resonance_mode_set",
+    "rwa_coefficient",
+    "solve_equilibrium",
+    "species",
+    "spectrum",
+    "three_state_solution",
+    "wavepacket_epsilon",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 52
+    assert sorted(ionchain.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in ionchain.__all__:
+        assert hasattr(ionchain, name), name
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, ionchain; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

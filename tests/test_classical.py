@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ionchain import classical, modes
+from ionchain import classical, equilibrium, modes
 from ionchain.errors import UnstableTrajectoryError
 
 
@@ -68,6 +71,64 @@ def test_potential_energy_closed_form_two_ions():
     pos = np.array([[0.0, 0.0, -d], [0.0, 0.0, d]])
     v = classical.potential_energy(pos, 0.5)
     assert abs(v - 3.0 * 2.0 ** (-4.0 / 3.0)) < 1e-14
+
+
+# Reference implementations the pair kernel replaced: the full (n, n)
+# separation grid with a masked diagonal, and the energy offset of one
+# sample at a time.
+
+def _reference_accelerations(pos, alpha):
+    diff = pos[..., :, None, :] - pos[..., None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    eye = np.eye(pos.shape[-2], dtype=bool)
+    inv3 = (dist + eye) ** -3 * ~eye
+    coulomb = np.sum(diff * inv3[..., None], axis=-2)
+    return coulomb - pos * np.array([1.0 / alpha, 1.0 / alpha, 1.0])
+
+
+def _reference_offset(pos, ref, alpha):
+    stiff = np.array([1.0 / alpha, 1.0 / alpha, 1.0])
+    dp = pos - ref
+    trap = 0.5 * float(np.sum(dp * (pos + ref) * stiff))
+    iu, ju = np.triu_indices(pos.shape[0], k=1)
+    d0 = (ref[:, None, :] - ref[None, :, :])[iu, ju]
+    dz = (dp[:, None, :] - dp[None, :, :])[iu, ju]
+    r02 = np.einsum("pk,pk->p", d0, d0)
+    cross = 2.0 * np.einsum("pk,pk->p", d0, dz) + np.einsum("pk,pk->p", dz, dz)
+    r0 = np.sqrt(r02)
+    r = np.sqrt(r02 + cross)
+    return trap + float(np.sum(-cross / (r * r0 * (r + r0))))
+
+
+def _snapshots(bound):
+    """(batch, n, 3) position arrays with N in 2..8 and entries in +-bound."""
+    return st.tuples(st.integers(1, 4), st.integers(2, 8)).flatmap(
+        lambda shape: arrays(float, shape + (3,),
+                             elements=st.floats(-bound, bound)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pos=_snapshots(2.0), alpha=st.floats(0.01, 1.0))
+def test_pair_kernel_matches_reference(pos, alpha):
+    iu, ju = np.triu_indices(pos.shape[-2], k=1)
+    sep = np.linalg.norm(pos[..., iu, :] - pos[..., ju, :], axis=-1)
+    assume(np.min(sep) > 0.05)
+    expected = _reference_accelerations(pos, alpha)
+    got = classical.accelerations(pos, alpha)
+    assert got.shape == pos.shape
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(disp=_snapshots(1e-3), alpha=st.floats(0.01, 1.0))
+def test_vectorised_offset_matches_per_sample(disp, alpha):
+    ref = np.zeros(disp.shape[1:])
+    ref[:, 2] = equilibrium.solve_equilibrium(disp.shape[1])
+    pos = ref + disp
+    got = classical._potential_offset(pos, ref, alpha)
+    expected = [_reference_offset(p, ref, alpha) for p in pos]
+    assert got.shape == (pos.shape[0],)
+    assert np.max(np.abs(got - expected)) <= 1e-15
 
 
 # --- trajectory container -----------------------------------------------

@@ -68,6 +68,14 @@ def test_structural_identities(n):
     assert report.com_decoupling < 1e-12
 
 
+@pytest.mark.parametrize("n", [24, 28, 30, 32])
+def test_long_chain_ion_tensor(n):
+    u, basis, t = tensors_for(n)
+    for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        assert np.array_equal(t.ion, t.ion.transpose(perm))
+    assert coupling.check_identities(t, basis, u).max_violation() < 1e-9
+
+
 def test_stretch_contraction_is_diagonal():
     _, basis, t = tensors_for(7)
     d_stretch = t.mode[:, :, 1]
@@ -75,18 +83,6 @@ def test_stretch_contraction_is_diagonal():
     assert np.max(np.abs(off)) < 1e-12
     expected = (1.0 - basis.mu) / (2.0 * t.stretch_norm)
     assert np.allclose(np.diag(d_stretch), expected, atol=1e-10)
-
-
-def test_nonzero_records_format():
-    _, _, t = tensors_for(3)
-    records = coupling.nonzero_records(t, threshold=1e-12)
-    assert all(1 <= i <= 3 for rec in records for i in rec[:3])
-    # every record clears the threshold in at least one tensor
-    assert all(abs(rec[3]) > 1e-12 or abs(rec[4]) > 1e-12 for rec in records)
-    lookup = {rec[:3]: rec for rec in records}
-    assert (2, 2, 2) in lookup
-    full = coupling.nonzero_records(t)
-    assert len(full) >= len(records)
 
 
 def test_tensors_are_read_only():

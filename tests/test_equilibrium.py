@@ -78,35 +78,3 @@ def test_length_scale_frequency_scaling():
     assert abs(ratio - 4.0) < 1e-12
     with pytest.raises(ValueError):
         equilibrium.length_scale(ion, 0.0)
-
-
-def test_trap_config_validation():
-    ion = equilibrium.species("Ca40")
-    with pytest.raises(ValueError):
-        equilibrium.TrapConfig(n_ions=0, ion=ion, omega3=1e6, alpha=0.1)
-    with pytest.raises(ValueError):
-        equilibrium.TrapConfig(n_ions=2, ion=ion, omega3=1e6, alpha=-0.1)
-
-
-def test_build_chain_scales_positions():
-    ion = equilibrium.species("Sr88")
-    config = equilibrium.TrapConfig(
-        n_ions=2, ion=ion, omega3=2.0 * np.pi * 1.0e6, alpha=0.1)
-    chain = equilibrium.build_chain(config)
-    assert chain.n_ions == 2
-    assert np.allclose(chain.positions_m(), chain.u * chain.ell)
-    assert 1e-7 < chain.ell < 1e-5
-
-
-def test_chain_validation_rejects_bad_positions():
-    with pytest.raises(ValueError, match="increasing"):
-        equilibrium.EquilibriumChain(u=np.array([0.6, -0.6]), ell=1e-6)
-    with pytest.raises(ValueError, match="force balance"):
-        equilibrium.EquilibriumChain(u=np.array([-0.5, 0.5]), ell=1e-6)
-
-
-def test_positions_are_read_only():
-    chain = equilibrium.EquilibriumChain(
-        u=equilibrium.solve_equilibrium(3), ell=1e-6)
-    with pytest.raises(ValueError):
-        chain.u[0] = 0.0

@@ -7,9 +7,9 @@ from ionchain import equilibrium, modes
 from ionchain.errors import DegenerateModesError, ZigZagError
 
 
-def basis_for(n, alpha, omega3=1.0):
+def basis_for(n, alpha):
     u = equilibrium.solve_equilibrium(n)
-    return modes.mode_basis(u, alpha, omega3)
+    return modes.mode_basis(u, alpha)
 
 
 def test_two_ion_eigenvalues_exact():
@@ -49,16 +49,8 @@ def test_basis_properties(n, frac):
     # the two quadratic forms share this eigenbasis
     expected_gamma = 1.0 / alpha + 0.5 - 0.5 * b.mu
     assert np.allclose(b.gamma, expected_gamma, atol=1e-12)
-    bt = modes.transverse_matrix(axial, alpha)
+    bt = (1.0 / alpha + 0.5) * np.eye(n) - 0.5 * axial
     assert np.max(np.abs(v.T @ bt @ v - np.diag(b.gamma))) < 1e-9
-
-
-def test_frequencies_scale_with_omega3():
-    omega3 = 2.0 * np.pi * 2.0e6
-    b = basis_for(4, 0.1, omega3=omega3)
-    assert np.allclose(b.axial_freqs, omega3 * np.sqrt(b.mu), atol=1e-6)
-    assert np.allclose(b.transverse_freqs, omega3 * np.sqrt(b.gamma), atol=1e-6)
-    assert abs(b.axial_freqs[0] - omega3) < 1e-6
 
 
 def test_critical_anisotropy_two_ions():
@@ -89,8 +81,6 @@ def test_argument_validation():
     axial = modes.axial_matrix(u)
     with pytest.raises(ValueError):
         modes.diagonalize(axial, alpha=0.0)
-    with pytest.raises(ValueError):
-        modes.diagonalize(axial, alpha=0.1, omega3=-1.0)
     with pytest.raises(ValueError):
         modes.diagonalize(axial[:2, :], alpha=0.1)
     with pytest.raises(ValueError):

@@ -50,12 +50,6 @@ def test_rwa_coefficient_needs_two_distinct_modes(catalogs):
         quantum.rwa_coefficient(degenerate, np.array([1.0, 3.0]))
 
 
-def test_nonlinearity_scale_warns_when_large():
-    heavy = equilibrium.IonSpecies(name="light", mass=1e-31)
-    with pytest.warns(UserWarning, match="not small"):
-        quantum.nonlinearity_scale(heavy, 2.0 * np.pi * 1.0e14)
-
-
 # --- Fock basis ---------------------------------------------------------
 
 def test_basis_dimension_and_shape():
