@@ -7,7 +7,10 @@ trajectory serves every ion species and drive frequency at once.
 
 The integrator is plain velocity Verlet with a fixed step.  Symplecticity
 keeps the sampled energy bounded instead of drifting, which is what the
-mode-energy bookkeeping below relies on.
+mode-energy bookkeeping below relies on.  One loop integrates a batch of
+trajectories that differ only in alpha (positions of shape (B, n, 3) and
+a per-member stiffness), so a resonant run and its detuned comparisons
+advance together; a single trajectory is a batch of one.
 """
 
 from __future__ import annotations
@@ -76,24 +79,35 @@ class Trajectory:
         return abs(tail - head) / scale
 
 
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair indices i < j and the (n, pairs) scatter matrix.
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, pairs) scatter matrix of the pairs i < j and its transpose.
 
     The scatter matrix adds each pair term to ion i (+1) and subtracts it
-    from ion j (-1).
+    from ion j (-1); its transpose, stored contiguous, takes the pair
+    differences r_i - r_j in one matmul.  Every product is +-1 or 0 times
+    a coordinate, so for finite positions each difference is exactly the
+    one a direct subtraction gives.
     """
     iu, ju = np.triu_indices(n, k=1)
     cols = np.arange(iu.size)
     scatter = np.zeros((n, iu.size))
     scatter[iu, cols] = 1.0
     scatter[ju, cols] = -1.0
-    return iu, ju, scatter
+    return scatter, np.ascontiguousarray(scatter.T)
 
 
-def _separations(pos: np.ndarray, iu: np.ndarray,
-                 ju: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair separation vectors r_i - r_j and their squared lengths."""
-    d = pos[..., iu, :] - pos[..., ju, :]
+def _separations(pos: np.ndarray,
+                 diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair separation vectors r_i - r_j and their squared lengths.
+
+    Over leading axes the pair axis is laid out outermost in memory, as
+    indexing pos[..., i, :] - pos[..., j, :] lays it out.  The pair sums
+    of the energies then keep their summation order, and the printed
+    energies their last digits.  `_force` forms the same differences as
+    a plain `diff @ pos`, which is faster per call and equal entry by
+    entry.
+    """
+    d = np.moveaxis(np.tensordot(diff, pos, axes=(1, -2)), 0, -2)
     return d, np.einsum("...pk,...pk->...p", d, d)
 
 
@@ -101,14 +115,15 @@ def _stiffness(alpha: float) -> np.ndarray:
     return np.array([1.0 / alpha, 1.0 / alpha, 1.0])
 
 
-def _force(pos: np.ndarray, iu: np.ndarray, ju: np.ndarray,
-           scatter: np.ndarray, stiff: np.ndarray) -> np.ndarray:
+def _force(pos: np.ndarray, scatter: np.ndarray, diff: np.ndarray,
+           stiff: np.ndarray) -> np.ndarray:
     """Coulomb plus trap force per unit mass over (..., n, 3), unchecked.
 
     Coincident ions give NaN rather than an error; callers either check
     first or catch the NaN downstream.
     """
-    d, r2 = _separations(pos, iu, ju)
+    d = diff @ pos
+    r2 = np.einsum("...pk,...pk->...p", d, d)
     return scatter @ (d * r2[..., None] ** -1.5) - pos * stiff
 
 
@@ -124,17 +139,17 @@ def accelerations(positions: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError("positions must have shape (..., n, 3)")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    iu, ju, scatter = _pairs(pos.shape[-2])
-    if np.any(_separations(pos, iu, ju)[1] == 0.0):
+    scatter, diff = _pairs(pos.shape[-2])
+    if np.any(_separations(pos, diff)[1] == 0.0):
         raise ValueError("coincident ion positions")
-    return _force(pos, iu, ju, scatter, _stiffness(alpha))
+    return _force(pos, scatter, diff, _stiffness(alpha))
 
 
 def potential_energy(positions: np.ndarray, alpha: float) -> np.ndarray:
     """Trap plus Coulomb potential, shape (...,) over leading axes."""
     pos = np.asarray(positions, dtype=float)
     trap = 0.5 * np.sum(pos * pos * _stiffness(alpha), axis=(-2, -1))
-    _, r2 = _separations(pos, *np.triu_indices(pos.shape[-2], k=1))
+    _, r2 = _separations(pos, _pairs(pos.shape[-2])[1])
     if np.any(r2 == 0.0):
         raise ValueError("coincident ion positions")
     return trap + np.sum(1.0 / np.sqrt(r2), axis=-1)
@@ -153,9 +168,9 @@ def _potential_offset(pos: np.ndarray, ref: np.ndarray,
     trap = 0.5 * np.sum(dp * (pos + ref) * _stiffness(alpha), axis=(-2, -1))
     # pair separations built from per-ion displacements, so the change in
     # r^2 never touches the O(1) separation roundoff
-    iu, ju = np.triu_indices(ref.shape[-2], k=1)
-    d0, r02 = _separations(ref, iu, ju)
-    dz, dz2 = _separations(dp, iu, ju)
+    diff = _pairs(ref.shape[-2])[1]
+    d0, r02 = _separations(ref, diff)
+    dz, dz2 = _separations(dp, diff)
     # r^2 - r0^2 = 2 d0.dz + |dz|^2
     cross = 2.0 * np.einsum("pk,...pk->...p", d0, dz) + dz2
     r0 = np.sqrt(r02)
@@ -195,18 +210,40 @@ def integrate(u: np.ndarray, basis: ModeBasis,
     dimensionless amplitudes; omitted modes start at rest on the axis.
     Samples are kept every `stride` steps, including step zero.
     """
+    return integrate_batch(u, [basis], displacements, velocities,
+                           dt, t_final, stride)[0]
+
+
+def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
+                    displacements: dict[tuple[str, int], float] | None = None,
+                    velocities: dict[tuple[str, int], float] | None = None,
+                    dt: float = 1.0e-3, t_final: float = 100.0,
+                    stride: int = 1) -> list[Trajectory]:
+    """Integrate one trajectory per mode basis, all in one Verlet loop.
+
+    The members share the equilibrium u and the mode-coordinate initial
+    conditions (see `integrate`) and differ only in their basis: its
+    alpha sets the transverse stiffness and its vectors turn the initial
+    conditions into positions.  Each member comes out exactly as a run
+    of its own would, and a member that runs away stops the whole batch
+    with an error naming its alpha.
+    """
     u = np.asarray(u, dtype=float)
-    alpha = basis.alpha
-    if u.size != basis.mu.size:
+    if not bases:
+        raise ValueError("bases must hold at least one mode basis")
+    if any(u.size != basis.mu.size for basis in bases):
         raise ValueError("equilibrium and mode basis sizes disagree")
     if dt <= 0.0 or t_final <= 0.0:
         raise ValueError("dt and t_final must be positive")
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    pos, vel = _assemble_initial(u, basis, displacements, velocities)
+    initial = [_assemble_initial(u, basis, displacements, velocities)
+               for basis in bases]
     n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise ValueError("t_final shorter than one step")
+    pos = np.stack([p for p, _ in initial])
+    vel = np.stack([v for _, v in initial])
 
     eq_pos = np.zeros((u.size, 3))
     eq_pos[:, 2] = u
@@ -215,34 +252,45 @@ def integrate(u: np.ndarray, basis: ModeBasis,
     # below catches blowups (including the NaNs a collision would
     # produce) before anything is stored
     n = u.size
-    iu, ju, scatter = _pairs(n)
-    stiff = _stiffness(alpha)
+    scatter, diff = _pairs(n)
+    stiff = np.stack([_stiffness(basis.alpha) for basis in bases])[:, None, :]
 
+    # separate arrays per member, so that a caller who keeps one
+    # trajectory does not keep the others alive
     samples = n_steps // stride + 1
-    traj_pos = np.empty((samples, n, 3))
-    traj_vel = np.empty_like(traj_pos)
+    traj_pos = [np.empty((samples, n, 3)) for _ in bases]
+    traj_vel = [np.empty((samples, n, 3)) for _ in bases]
 
     def record(step: int) -> None:
-        if not np.isfinite(pos).all() or np.max(np.abs(pos)) > POSITION_BOUND:
+        # written so that NaN fails the test as well
+        if not np.max(np.abs(pos)) <= POSITION_BOUND:
+            bad = ~(np.max(np.abs(pos), axis=(1, 2)) <= POSITION_BOUND)
+            alphas = ", ".join(f"{bases[b].alpha:g}"
+                               for b in np.flatnonzero(bad))
             raise UnstableTrajectoryError(
-                f"ion coordinate exceeded {POSITION_BOUND:g} at t = {step * dt:g}")
-        traj_pos[step // stride] = pos
-        traj_vel[step // stride] = vel
+                f"ion coordinate exceeded {POSITION_BOUND:g} at "
+                f"t = {step * dt:g} (alpha = {alphas})")
+        for b in range(len(bases)):
+            traj_pos[b][step // stride] = pos[b]
+            traj_vel[b][step // stride] = vel[b]
 
     record(0)
-    acc = _force(pos, iu, ju, scatter, stiff)
+    acc = _force(pos, scatter, diff, stiff)
     for step in range(1, n_steps + 1):
         vel += 0.5 * dt * acc
         pos += dt * vel
-        acc = _force(pos, iu, ju, scatter, stiff)
+        acc = _force(pos, scatter, diff, stiff)
         vel += 0.5 * dt * acc
         if step % stride == 0:
             record(step)
-    kinetic = 0.5 * np.sum(traj_vel * traj_vel, axis=(-2, -1))
-    energy = kinetic + _potential_offset(traj_pos, eq_pos, alpha)
-    return Trajectory(times=np.arange(0, n_steps + 1, stride) * dt,
-                      positions=traj_pos, velocities=traj_vel,
-                      total_energy=energy)
+    times = np.arange(0, n_steps + 1, stride) * dt
+    out = []
+    for basis, member_pos, member_vel in zip(bases, traj_pos, traj_vel):
+        kinetic = 0.5 * np.sum(member_vel * member_vel, axis=(-2, -1))
+        energy = kinetic + _potential_offset(member_pos, eq_pos, basis.alpha)
+        out.append(Trajectory(times=times, positions=member_pos,
+                              velocities=member_vel, total_energy=energy))
+    return out
 
 
 @dataclass(frozen=True)

@@ -428,6 +428,12 @@ def cmd_simulate(args) -> int:
     return _emit(artifacts, "simulate", params, args)
 
 
+def _pair_gain(proj, pair: list[int]) -> float:
+    """Largest rise of the transverse pair's mode energy over the run."""
+    series = sum(proj.energies[d][:, p - 1] for d in ("x", "y") for p in pair)
+    return float(np.max(series - series[0]))
+
+
 def cmd_classical(args) -> int:
     cfg = _parse_config(args.config)
     n_ions = _config_get(cfg, "n", None, int)
@@ -447,17 +453,38 @@ def cmd_classical(args) -> int:
         alpha = float(entry.alpha_res)
     else:
         raise ValueError("config needs either 'alpha' or 'resonance'")
+    transfer = []
+    if detune > 0.0:
+        if entry is None:
+            raise ValueError("'detune' needs a 'resonance' key to detune from")
+        if detune >= 1.0:
+            raise ValueError(
+                f"config key 'detune' must be below 1, got {detune:g} "
+                f"(the low detuned alpha is (1 - detune) * alpha_res)")
+        pair = sorted({entry.m, entry.n})
+        base_alpha = float(entry.alpha_res)
+        transfer = [("resonant", base_alpha),
+                    ("detuned_low", (1.0 - detune) * base_alpha),
+                    ("detuned_high", (1.0 + detune) * base_alpha)]
 
+    # the main run and the transfer comparison integrate as one batch,
+    # one member per distinct alpha
     u = equilibrium_mod.solve_equilibrium(n_ions)
-
-    def run(run_alpha: float):
-        basis = modes_mod.mode_basis(u, run_alpha)
-        traj = classical_mod.integrate(
-            u, basis, displacements=displacements, velocities=velocities,
-            dt=dt, t_final=t_final, stride=stride)
-        return basis, traj, classical_mod.mode_projection(traj, basis, u)
-
-    basis, traj, proj = run(alpha)
+    alphas = list(dict.fromkeys([alpha] + [a for _, a in transfer]))
+    bases = [modes_mod.mode_basis(u, a) for a in alphas]
+    trajs = classical_mod.integrate_batch(
+        u, bases, displacements=displacements, velocities=velocities,
+        dt=dt, t_final=t_final, stride=stride)
+    basis, traj = bases[0], trajs[0]
+    proj = classical_mod.mode_projection(traj, basis, u)
+    gains = {}
+    for label, run_alpha in transfer:
+        k = alphas.index(run_alpha)
+        gains[label] = _pair_gain(
+            proj if k == 0 else
+            classical_mod.mode_projection(trajs[k], bases[k], u), pair)
+    # only the main run is tabulated; free the others before formatting
+    del bases, trajs
 
     energy_headers = ["t"]
     for direction in ("z", "x", "y"):
@@ -501,27 +528,10 @@ def cmd_classical(args) -> int:
         "windowed_energy_drift": traj.energy_drift(),
     }
 
-    if detune > 0.0:
-        if entry is None:
-            raise ValueError("'detune' needs a 'resonance' key to detune from")
-        pair = sorted({entry.m, entry.n})
-
-        def pair_gain(run_proj) -> float:
-            series = sum(run_proj.energies[d][:, p - 1]
-                         for d in ("x", "y") for p in pair)
-            return float(np.max(series - series[0]))
-
-        base_alpha = float(entry.alpha_res)
-        runs = [("resonant", base_alpha, proj if alpha == base_alpha else None)]
-        runs.append(("detuned_low", (1.0 - detune) * base_alpha, None))
-        runs.append(("detuned_high", (1.0 + detune) * base_alpha, None))
-        gains = {}
-        for label, run_alpha, ready in runs:
-            run_proj = ready if ready is not None else run(run_alpha)[2]
-            gains[label] = pair_gain(run_proj)
+    if transfer:
         resonant = gains["resonant"]
         transfer_rows = []
-        for label, run_alpha, _ in runs:
+        for label, run_alpha in transfer:
             gain = gains[label]
             ratio = resonant / gain if gain > 0.0 else float("inf")
             transfer_rows.append((label, run_alpha, gain, ratio))

@@ -131,6 +131,92 @@ def test_vectorised_offset_matches_per_sample(disp, alpha):
     assert np.max(np.abs(got - expected)) <= 1e-15
 
 
+# The single-trajectory Verlet loop the batched integrator replaced, with
+# the indexed pair differences of its force kernel.  Its energies use the
+# per-sample offset above.
+
+def _reference_force(pos, alpha):
+    n = pos.shape[-2]
+    iu, ju = np.triu_indices(n, k=1)
+    cols = np.arange(iu.size)
+    scatter = np.zeros((n, iu.size))
+    scatter[iu, cols] = 1.0
+    scatter[ju, cols] = -1.0
+    d = pos[..., iu, :] - pos[..., ju, :]
+    r2 = np.einsum("...pk,...pk->...p", d, d)
+    stiff = np.array([1.0 / alpha, 1.0 / alpha, 1.0])
+    return scatter @ (d * r2[..., None] ** -1.5) - pos * stiff
+
+
+def _reference_integrate(u, basis, displacements, velocities, dt, t_final,
+                         stride):
+    pos, vel = classical._assemble_initial(u, basis, displacements,
+                                           velocities)
+    n_steps = int(round(t_final / dt))
+    traj_pos = np.empty((n_steps // stride + 1,) + pos.shape)
+    traj_vel = np.empty_like(traj_pos)
+    traj_pos[0], traj_vel[0] = pos, vel
+    acc = _reference_force(pos, basis.alpha)
+    for step in range(1, n_steps + 1):
+        vel += 0.5 * dt * acc
+        pos += dt * vel
+        acc = _reference_force(pos, basis.alpha)
+        vel += 0.5 * dt * acc
+        if step % stride == 0:
+            traj_pos[step // stride] = pos
+            traj_vel[step // stride] = vel
+    ref = np.zeros_like(pos)
+    ref[:, 2] = u
+    kinetic = 0.5 * np.sum(traj_vel * traj_vel, axis=(-2, -1))
+    potential = [_reference_offset(p, ref, basis.alpha) for p in traj_pos]
+    return traj_pos, traj_vel, kinetic + potential
+
+
+@settings(max_examples=40, deadline=None)
+@given(pos=_snapshots(2.0), alphas=st.lists(st.floats(0.01, 1.0),
+                                            min_size=4, max_size=4))
+def test_matmul_pair_differences_match_indexed_force(pos, alphas):
+    iu, ju = np.triu_indices(pos.shape[-2], k=1)
+    sep = np.linalg.norm(pos[..., iu, :] - pos[..., ju, :], axis=-1)
+    assume(np.min(sep) > 0.05)
+    scatter, diff = classical._pairs(pos.shape[-2])
+    # one alpha for the whole stack, then one alpha per member
+    got = classical._force(pos, scatter, diff, classical._stiffness(alphas[0]))
+    assert np.array_equal(got, _reference_force(pos, alphas[0]))
+    stiff = np.stack([classical._stiffness(a) for a in alphas[:len(pos)]])
+    got = classical._force(pos, scatter, diff, stiff[:, None, :])
+    for member, alpha, acc in zip(pos, alphas, got):
+        assert np.array_equal(acc, _reference_force(member, alpha))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 6), batch=st.sampled_from([1, 3]),
+       fractions=st.lists(st.floats(0.2, 0.95), min_size=3, max_size=3),
+       amps=st.lists(st.floats(-0.02, 0.02), min_size=4, max_size=4),
+       stride=st.integers(1, 7))
+def test_batched_verlet_matches_single_reference(chains, n, batch, fractions,
+                                                 amps, stride):
+    u = chains[n]
+    alpha_crit = modes.critical_anisotropy(
+        np.linalg.eigvalsh(modes.axial_matrix(u)))
+    bases = [modes.mode_basis(u, f * alpha_crit) for f in fractions[:batch]]
+    displacements = {("z", n): amps[0], ("x", 1): amps[1], ("y", n): amps[2]}
+    velocities = {("x", n): amps[3]}
+    run = dict(dt=1e-2, t_final=0.5, stride=stride)
+    members = classical.integrate_batch(u, bases, displacements, velocities,
+                                        **run)
+    assert len(members) == batch
+    for basis, member in zip(bases, members):
+        ref_pos, ref_vel, ref_energy = _reference_integrate(
+            u, basis, displacements, velocities, **run)
+        single = classical.integrate(u, basis, displacements, velocities,
+                                     **run)
+        for traj in (member, single):
+            assert np.array_equal(traj.positions, ref_pos)
+            assert np.array_equal(traj.velocities, ref_vel)
+            assert np.max(np.abs(traj.total_energy - ref_energy)) <= 1e-15
+
+
 # --- trajectory container -----------------------------------------------
 
 def _toy_trajectory(energy):
@@ -216,6 +302,28 @@ def test_runaway_ion_detected(two_ion_setup):
     with pytest.raises(UnstableTrajectoryError, match="exceeded"):
         classical.integrate(u, basis, velocities={("z", 1): 5000.0},
                             dt=1e-3, t_final=2.0, stride=10)
+
+
+def test_runaway_member_is_named(two_ion_setup):
+    # the kick moves the transverse centre of mass, which the Coulomb
+    # term never feels: amplitude 5000 b / sqrt(1/alpha) stays below the
+    # bound at alpha = 0.01 and passes it at alpha = 0.5
+    u, _ = two_ion_setup
+    bases = [modes.mode_basis(u, alpha) for alpha in (0.01, 0.5)]
+    with pytest.raises(UnstableTrajectoryError,
+                       match=r"exceeded .*\(alpha = 0\.5\)$") as exc:
+        classical.integrate_batch(u, bases, velocities={("x", 1): 5000.0},
+                                  dt=1e-3, t_final=2.0, stride=10)
+    assert "0.01" not in str(exc.value)
+
+
+def test_integrate_batch_argument_validation(two_ion_setup, chains):
+    u, basis = two_ion_setup
+    with pytest.raises(ValueError, match="at least one mode basis"):
+        classical.integrate_batch(u, [])
+    other = modes.mode_basis(chains[3], 0.1)
+    with pytest.raises(ValueError, match="sizes disagree"):
+        classical.integrate_batch(u, [basis, other])
 
 
 def test_energy_conservation(two_ion_setup):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionchain import cli
+from ionchain import classical, cli, equilibrium, modes, resonances
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +161,26 @@ def test_classical_config_needs_anisotropy(tmp_path, capsys):
     assert "either 'alpha' or 'resonance'" in err
 
 
+@pytest.mark.parametrize("config, message", [
+    ("n = 2\nalpha = 0.5\ndetune = 0.2\n",
+     "'detune' needs a 'resonance' key"),
+    ("n = 6\nresonance = 6,5,5\ndetune = 1\n",
+     "'detune' must be below 1, got 1"),
+])
+def test_classical_detune_fails_before_integration(tmp_path, capsys,
+                                                   monkeypatch, config,
+                                                   message):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before the config was checked")
+
+    monkeypatch.setattr(cli.classical_mod, "integrate_batch", no_integration)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "displacement = z2:1e-3\n")
+    code, out, err = run_cli(capsys, "classical", str(cfg))
+    assert code == 1 and out == ""
+    assert message in err
+
+
 def test_bad_mode_amplitude(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 2\nalpha = 0.5\ndisplacement = zz:0.1\n")
@@ -294,7 +314,7 @@ def test_classical_transfer_wiring(tmp_path, capsys):
         "displacement = z5:0.01,x5:1e-6,x6:1e-6,y5:1e-6,y6:1e-6\n"
         "dt = 2e-3\nt_final = 20\nstride = 20\n")
     out_dir = tmp_path / "out"
-    code, *_ = run_cli(capsys, "--format", "csv",
+    code, *_ = run_cli(capsys, "--format", "csv", "--precision", "17",
                        "--output-dir", str(out_dir),
                        "classical", str(cfg))
     assert code == 0
@@ -304,6 +324,26 @@ def test_classical_transfer_wiring(tmp_path, capsys):
     alphas = [float(row["alpha"]) for row in transfer]
     assert alphas[1] < alphas[0] < alphas[2]
     assert all(float(row["pair_energy_gain"]) >= 0.0 for row in transfer)
+
+    # the batched runs give exactly what three runs of their own give
+    u = equilibrium.solve_equilibrium(6)
+    entry = next(e for e in resonances.build_catalog(6)
+                 if (e.m, e.n, e.p) == (6, 5, 5))
+    seeds = {("z", 5): 0.01}
+    seeds.update({(d, p): 1e-6 for d in ("x", "y") for p in (5, 6)})
+    gains = []
+    for scale in (1.0, 0.8, 1.2):
+        basis = modes.mode_basis(u, scale * entry.alpha_res)
+        traj = classical.integrate(u, basis, displacements=seeds,
+                                   dt=2e-3, t_final=20.0, stride=20)
+        proj = classical.mode_projection(traj, basis, u)
+        series = sum(proj.energies[d][:, p - 1]
+                     for d in ("x", "y") for p in (5, 6))
+        gains.append(float(np.max(series - series[0])))
+    for row, scale, gain in zip(transfer, (1.0, 0.8, 1.2), gains):
+        assert float(row["alpha"]) == scale * entry.alpha_res
+        assert float(row["pair_energy_gain"]) == gain
+        assert float(row["resonant_over_this"]) == gains[0] / gain
 
 
 def test_console_script_entry_point():
