@@ -91,8 +91,11 @@ class Artifact:
 
 
 def _emit(artifacts: list[Artifact], command: str, parameters: dict,
-          args) -> int:
-    """Print or write all artifacts; manifests accompany written files."""
+          args, diagnostics: dict | None = None) -> int:
+    """Print or write all artifacts; manifests accompany written files.
+
+    diagnostics (run health figures) go into the manifests only.
+    """
     started = getattr(args, "_t0", None)
     out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
     fmt = args.format
@@ -122,6 +125,8 @@ def _emit(artifacts: list[Artifact], command: str, parameters: dict,
         "output_paths": paths,
         "wall_time_s": round(wall, 3),
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     for path in paths:
         with open(path + ".manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
@@ -386,37 +391,36 @@ def cmd_simulate(args) -> int:
     state0 = quantum_mod.QuantumState(
         basis=fock, amplitudes=fock.number_state(occupations))
 
-    h_free = quantum_mod.build_free_hamiltonian(fock, basis)
     hamiltonians = {}
     if flavor in ("rwa", "both"):
         hamiltonians["rwa"] = quantum_mod.build_rwa_interaction(
             fock, basis, tensors, eps, resonance=entry)
     if flavor in ("full", "both"):
-        h_int = quantum_mod.build_full_interaction(fock, basis, tensors, eps)
         # counter-rotating terms only cancel through free evolution, so the
         # full run propagates under the complete generator
-        hamiltonians["full"] = quantum_mod.HamiltonianMatrix(
-            matrix=h_free.matrix + h_int.matrix, flavor="full_interaction",
-            basis=fock)
+        hamiltonians["full"] = (
+            quantum_mod.build_free_hamiltonian(fock, basis)
+            + quantum_mod.build_full_interaction(fock, basis, tensors, eps))
 
-    x_pair = tuple(mode for mode in fock.modes if mode[0] == "x")
+    x_axes = [k for k, mode in enumerate(fock.modes) if mode[0] == "x"]
+    watched = [fock.index_of(occ) for occ in (psi_occ, phi_occ, chi_occ)]
     t_gamma = np.linspace(0.0, duration, samples)
     d_tau = (t_gamma[1] - t_gamma[0]) / rate_tau
     headers = ["t_gamma", "pop_axial", "pop_y_pair", "pop_x_pair",
                "norm", "entropy_x"]
     artifacts = []
+    top_fock = {}
     for label, h in sorted(hamiltonians.items()):
-        state = state0
-        rows = []
-        for k in range(samples):
-            if k > 0:
-                state = quantum_mod.evolve(state, h, d_tau)
-            rows.append((float(t_gamma[k]),
-                         state.population(psi_occ),
-                         state.population(phi_occ),
-                         state.population(chi_occ),
-                         state.norm(),
-                         quantum_mod.entanglement_entropy(state, x_pair)))
+        # all samples in one propagation from the initial state
+        amps = quantum_mod._propagate(h, state0.amplitudes,
+                                      np.arange(samples) * d_tau)
+        norms = quantum_mod._checked_norms(amps)
+        pops = np.abs(amps[:, watched]) ** 2
+        entropies = quantum_mod._schmidt_entropies(fock, amps, x_axes)
+        top_fock[label] = quantum_mod._top_fock_population(fock, amps)
+        rows = [(float(t_gamma[k]), *(float(p) for p in pops[k]),
+                 float(norms[k]), float(entropies[k]))
+                for k in range(samples)]
         artifacts.append(Artifact(f"simulate_{label}", headers, rows))
     params = {
         "config": os.path.abspath(args.config), "n": n_ions,
@@ -425,7 +429,8 @@ def cmd_simulate(args) -> int:
         "rate_per_omega3_t": rate_tau, "initial": initial_text,
         "duration_gamma_t": duration, "samples": samples, "mode": flavor,
     }
-    return _emit(artifacts, "simulate", params, args)
+    return _emit(artifacts, "simulate", params, args,
+                 diagnostics={"top_fock_population": top_fock})
 
 
 def _pair_gain(proj, pair: list[int]) -> float:

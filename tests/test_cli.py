@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionchain import classical, cli, equilibrium, modes, resonances
+from ionchain import (classical, cli, coupling, equilibrium, modes, quantum,
+                      resonances)
 
 
 def run_cli(capsys, *argv):
@@ -250,6 +251,71 @@ def test_simulate_output_is_deterministic(tmp_path, capsys):
         assert code == 0
         blobs.append((out_dir / "simulate_rwa.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_simulate_rows_equal_per_sample_evolution(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG.replace("duration = 0.5", "duration = 6.0"))
+    out_dir = tmp_path / "out"
+    code, *_ = run_cli(capsys, "--format", "csv", "--precision", "17",
+                       "--output-dir", str(out_dir), "simulate", str(cfg))
+    assert code == 0
+
+    entry = next(e for e in resonances.build_catalog(6)
+                 if (e.m, e.n, e.p) == (6, 5, 5))
+    u = equilibrium.solve_equilibrium(6)
+    basis = modes.mode_basis(u, entry.alpha_res)
+    tensors = coupling.coupling_tensors(u, basis)
+    fock = quantum.FockBasis.uniform(quantum.resonance_mode_set(entry), 2)
+    eps = quantum.nonlinearity_epsilon(equilibrium.species("Ca40"),
+                                       2.0 * np.pi * 2.0e6)
+    rate = abs(eps * quantum.rwa_coefficient(entry, basis.mu))
+    hams = {"rwa": quantum.build_rwa_interaction(fock, basis, tensors, eps,
+                                                 resonance=entry),
+            "full": quantum.build_free_hamiltonian(fock, basis)
+            + quantum.build_full_interaction(fock, basis, tensors, eps)}
+    occs = quantum.down_conversion_states(fock, entry)
+    x_pair = tuple(m for m in fock.modes if m[0] == "x")
+    state0 = quantum.QuantumState(basis=fock,
+                                  amplitudes=fock.number_state(occs[0]))
+    d_tau = (6.0 / 10) / rate
+    top = {}
+    for label, h in hams.items():
+        rows = parse_csv((out_dir / f"simulate_{label}.csv").read_text())
+        assert len(rows) == 11
+        worst = 0.0
+        for k, row in enumerate(rows):
+            state = quantum.evolve(state0, h, k * d_tau)
+            expected = [state.population(o) for o in occs] + [
+                state.norm(), quantum.entanglement_entropy(state, x_pair)]
+            got = [float(row[c]) for c in ("pop_axial", "pop_y_pair",
+                                           "pop_x_pair", "norm", "entropy_x")]
+            worst = max(worst, np.max(np.abs(np.subtract(got, expected))))
+            top[label] = max(top.get(label, 0.0), max(
+                sum(abs(state.amplitudes[i]) ** 2
+                    for i in range(fock.dimension)
+                    if fock.occupations(i)[mode] == 2)
+                for mode in fock.modes))
+        assert worst <= 1e-13, (label, worst)
+    manifest = json.loads(
+        (out_dir / "simulate_full.csv.manifest.json").read_text())
+    leak = manifest["diagnostics"]["top_fock_population"]
+    assert set(leak) == {"rwa", "full"}
+    for label in leak:
+        assert abs(leak[label] - top[label]) <= 1e-15
+    # the rotating-wave run never leaves the three one- and two-phonon states
+    assert leak["rwa"] == 0.0 and 0.0 < leak["full"] < 1e-3
+
+
+def test_simulate_rejects_norm_drift(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG)
+    real = quantum._propagate
+    monkeypatch.setattr(quantum, "_propagate",
+                        lambda h, amps, taus: 1.000001 * real(h, amps, taus))
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 1 and out == ""
+    assert "deviates from 1 beyond 1e-9" in err
 
 
 def test_output_dir_environment_fallback(tmp_path, capsys, monkeypatch):

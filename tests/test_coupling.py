@@ -91,3 +91,12 @@ def test_tensors_are_read_only():
         t.ion[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         t.mode[0, 0, 0] = 1.0
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(min_value=2, max_value=20))
+def test_mode_tensor_matches_plain_contraction(n):
+    u, basis, t = tensors_for(n)
+    v = basis.vectors
+    plain = np.einsum("lmn,lp,mq,nr->pqr", t.ion, v, v, v)
+    assert np.max(np.abs(t.mode - plain)) <= 1e-12 * np.max(np.abs(plain))

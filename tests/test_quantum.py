@@ -257,7 +257,7 @@ def test_connected_blocks_match_graph_search(seed):
     # one-sided entries: a link counts whichever triangle it sits in
     rows, cols = rng.integers(0, n, size=(2, 45))
     mat[rows, cols] = 1e-14j
-    order, starts = quantum._connected_blocks(mat)
+    order, starts = quantum._connected_blocks(*np.nonzero(mat), n)
     got = sorted(sorted(b.tolist()) for b in np.split(order, starts[1:]))
     assert got == _reference_components(mat != 0)
 
@@ -272,7 +272,8 @@ def test_sectored_evolve_on_planted_blocks():
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = (mat + mat.conj().T) * (labels[:, None] == labels[None, :])
     h = quantum.HamiltonianMatrix(matrix=mat, flavor="free", basis=fock)
-    order, starts, blocks = h._eigensystem
+    order, starts = h._blocks
+    blocks = [h._eigensystem(b) for b in range(len(starts))]
     assert sorted(len(idx) for idx, _w, _v in blocks) == sorted(
         np.bincount(labels))
     assert sorted(order) == list(range(dim))
@@ -296,7 +297,8 @@ def test_rwa_pump_block_is_the_three_state_problem(six_ion_resonance, cutoff):
                                       resonance=entry)
     states = quantum.down_conversion_states(fock, entry)
     pump = fock.index_of(states[0])
-    block = next(idx for idx, _w, _v in h._eigensystem[2] if pump in idx)
+    order, starts = h._blocks
+    block = next(idx for idx in np.split(order, starts[1:]) if pump in idx)
     assert sorted(block) == sorted(fock.index_of(s) for s in states)
 
 
@@ -306,7 +308,8 @@ def test_full_generator_splits_into_parity_sectors(six_ion_resonance):
     h_int = quantum.build_full_interaction(fock, basis, tensors, 7.09e-4)
     h = quantum.HamiltonianMatrix(matrix=h0.matrix + h_int.matrix,
                                   flavor="full_interaction", basis=fock)
-    blocks = h._eigensystem[2]
+    order, starts = h._blocks
+    blocks = [(idx, None, None) for idx in np.split(order, starts[1:])]
     assert len(blocks) == 4
     occ = np.stack(np.unravel_index(np.arange(fock.dimension), fock.shape),
                    axis=1)
@@ -319,6 +322,211 @@ def test_full_generator_splits_into_parity_sectors(six_ion_resonance):
         assert len(set(x_par)) == 1 and len(set(y_par)) == 1
         parities.add((x_par[0], y_par[0]))
     assert len(parities) == 4
+
+
+# --- block-native engine: triplets, lazy blocks, batched samples ---------
+
+def _full_generator(six_ion_resonance, cutoff=2, eps=7.09e-4):
+    entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, cutoff)
+    h = (quantum.build_free_hamiltonian(fock, basis)
+         + quantum.build_full_interaction(fock, basis, tensors, eps))
+    return entry, fock, h
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_triplets_are_real_coalesced_and_sum_exactly(six_ion_resonance,
+                                                     cutoff):
+    entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, cutoff)
+    eps = 7.09e-4
+    h_free = quantum.build_free_hamiltonian(fock, basis)
+    h_int = quantum.build_full_interaction(fock, basis, tensors, eps)
+    h_rwa = quantum.build_rwa_interaction(fock, basis, tensors, eps,
+                                          resonance=entry)
+    dim = fock.dimension
+    for h in (h_free, h_int, h_rwa):
+        assert h._values.dtype == np.float64
+        keys = h._rows * dim + h._cols
+        assert np.all(np.diff(keys) > 0)
+        assert np.all(h._values != 0.0)
+        # the scatter of the raw triplets is the dense operator
+        dense = np.zeros((dim, dim))
+        np.add.at(dense, (h._rows, h._cols), h._values)
+        assert np.array_equal(dense, h.matrix)
+    total = h_free + h_int
+    assert total.flavor == "full_interaction"
+    assert np.array_equal(total.matrix, h_free.matrix + h_int.matrix)
+    assert not total.matrix.flags.writeable
+
+
+def test_dense_constructor_stores_real_triplets(six_ion_resonance):
+    *_, fock = six_ion_resonance
+    dim = fock.dimension
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[0, 1] = mat[1, 0] = 0.5
+    mat[2, 2] = 1.0
+    h = quantum.HamiltonianMatrix(matrix=mat, flavor="free", basis=fock)
+    assert h._values.dtype == np.float64
+    assert np.array_equal(h.matrix, mat.real)
+    mat[0, 1], mat[1, 0] = 0.5j, -0.5j
+    h = quantum.HamiltonianMatrix(matrix=mat, flavor="free", basis=fock)
+    assert np.iscomplexobj(h._values)
+    assert np.array_equal(h.matrix, mat)
+
+
+def test_triplet_check_rejects_missing_adjoint(six_ion_resonance):
+    entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, 2)
+    (rows, cols, values), _kept = quantum._cubic_interaction(
+        fock, basis, tensors, 7.09e-4, 1e-9)
+    # the kept monomials come in adjoint pairs; one half alone is rejected
+    upper = rows < cols
+    with pytest.raises(ValueError, match="Hermitian"):
+        quantum.HamiltonianMatrix._from_triplets(
+            "rwa_interaction", fock, rows[upper], cols[upper], values[upper])
+    quantum.HamiltonianMatrix._from_triplets(
+        "rwa_interaction", fock, rows, cols, values)
+    # an entry without its adjoint passes only below 1e-12 of the scale
+    one = np.array([0]), np.array([1])
+    quantum.HamiltonianMatrix._from_triplets("free", fock, *one, [1e-13])
+    with pytest.raises(ValueError, match="Hermitian"):
+        quantum.HamiltonianMatrix._from_triplets("free", fock, *one, [1e-11])
+    with pytest.raises(ValueError, match="Hermitian"):
+        quantum.HamiltonianMatrix._from_triplets("free", fock, *one, [np.nan])
+
+
+def test_sum_requires_one_basis_and_compatible_flavors(six_ion_resonance):
+    entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, 2)
+    h_rwa = quantum.build_rwa_interaction(fock, basis, tensors, 7e-4,
+                                          resonance=entry)
+    h_full = quantum.build_full_interaction(fock, basis, tensors, 7e-4)
+    other = quantum.FockBasis.uniform(fock.modes, 1)
+    with pytest.raises(ValueError, match="cannot add a"):
+        h_rwa + h_full
+    with pytest.raises(ValueError, match="different bases"):
+        h_full + quantum.build_free_hamiltonian(other, basis)
+    assert (quantum.build_free_hamiltonian(fock, basis)
+            + h_rwa).flavor == "rwa_interaction"
+
+
+def _whole_matrix_samples(h, amps, taus):
+    w, v = np.linalg.eigh(h.matrix)
+    coeffs = v.conj().T @ amps
+    return np.array([v @ (np.exp(-1j * w * tau) * coeffs) for tau in taus])
+
+
+def test_propagate_matches_whole_matrix_eigh(six_ion_resonance):
+    entry, fock, h = _full_generator(six_ion_resonance)
+    rng = np.random.default_rng(3)
+    taus = np.concatenate([[0.0], rng.uniform(0.0, 7.0, size=9)])
+    spread = rng.normal(size=fock.dimension) + 1j * rng.normal(size=fock.dimension)
+    psi, _, _ = quantum.down_conversion_states(fock, entry)
+    for amps in (fock.number_state(psi), spread / np.linalg.norm(spread)):
+        got = quantum._propagate(h, amps, taus)
+        assert got.shape == (taus.size, fock.dimension)
+        assert np.array_equal(got[0], amps)
+        assert np.max(np.abs(got - _whole_matrix_samples(h, amps, taus))) <= 1e-12
+
+
+def test_propagate_on_planted_complex_blocks():
+    fock = quantum.FockBasis.uniform((("z", 1), ("x", 1), ("y", 1)), 2)
+    dim = fock.dimension
+    rng = np.random.default_rng(5)
+    labels = rng.permutation(np.arange(dim) % 4)
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat = (mat + mat.conj().T) * (labels[:, None] == labels[None, :])
+    h = quantum.HamiltonianMatrix(matrix=mat, flavor="free", basis=fock)
+    assert np.iscomplexobj(h._values)
+    taus = np.linspace(0.0, 2.0, 7)
+    spread = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    two_blocks = np.where(labels % 2 == 0, spread, 0.0)
+    for amps in (spread, two_blocks):
+        amps = amps / np.linalg.norm(amps)
+        got = quantum._propagate(h, amps, taus)
+        assert np.max(np.abs(got - _whole_matrix_samples(h, amps, taus))) <= 1e-12
+    assert np.all(got[:, labels % 2 == 1] == 0.0)
+
+
+def test_propagate_matches_repeated_evolve(six_ion_resonance):
+    entry, fock, h = _full_generator(six_ion_resonance)
+    psi, _, _ = quantum.down_conversion_states(fock, entry)
+    state = quantum.QuantumState(basis=fock, amplitudes=fock.number_state(psi))
+    step = 0.37
+    batched = quantum._propagate(h, state.amplitudes, np.arange(40) * step)
+    for k in range(1, 40):
+        state = quantum.evolve(state, h, step)
+        assert np.max(np.abs(state.amplitudes - batched[k])) <= 1e-12
+    assert abs(state.tau - 39 * step) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_only_the_live_block_is_diagonalized(six_ion_resonance, cutoff):
+    entry, fock, h = _full_generator(six_ion_resonance, cutoff)
+    psi, _, _ = quantum.down_conversion_states(fock, entry)
+    pump = fock.index_of(psi)
+    quantum._propagate(h, fock.number_state(psi), [0.0, 1.0, 2.0])
+    assert len(h._blocks[1]) == 4
+    ((b, (idx, _w, v)),) = h._diagonalized.items()
+    assert pump in idx and v.dtype == np.float64
+    # a second run from the same sector reuses the kept eigensystem
+    quantum.evolve(quantum.QuantumState(basis=fock,
+                                        amplitudes=fock.number_state(psi)),
+                   h, 1.0)
+    assert list(h._diagonalized) == [b]
+    _, basis, tensors, _ = _six_ion_fock(six_ion_resonance, cutoff)
+    h_rwa = quantum.build_rwa_interaction(fock, basis, tensors, 7.09e-4,
+                                          resonance=entry)
+    quantum._propagate(h_rwa, fock.number_state(psi), [1.0])
+    ((_b, (idx, _w, _v)),) = h_rwa._diagonalized.items()
+    assert len(idx) == 3
+
+
+def _reference_entropy(basis, amps, axes):
+    """Single-state Schmidt entropy, as computed one state at a time."""
+    rest = [k for k in range(len(basis.modes)) if k not in axes]
+    moved = np.transpose(amps.reshape(basis.shape), axes + rest)
+    dim_a = int(np.prod([basis.shape[k] for k in axes]))
+    weights = np.linalg.svd(moved.reshape(dim_a, -1), compute_uv=False) ** 2
+    weights = weights[weights > 1e-300]
+    return float(-np.sum(weights * np.log(weights)) + 0.0)
+
+
+def test_batched_entropies_match_single_state(six_ion_resonance):
+    entry, fock, h = _full_generator(six_ion_resonance)
+    psi, _, _ = quantum.down_conversion_states(fock, entry)
+    amps = quantum._propagate(h, fock.number_state(psi),
+                              np.linspace(0.0, 900.0, 12))
+    rng = np.random.default_rng(9)
+    spread = rng.normal(size=(3, fock.dimension)) + 0j
+    amps = np.vstack([amps, spread / np.linalg.norm(spread, axis=1)[:, None]])
+    for axes in ([1, 2], [0], [0, 3, 4]):
+        got = quantum._schmidt_entropies(fock, amps, axes)
+        ref = [_reference_entropy(fock, a, axes) for a in amps]
+        assert np.max(np.abs(got - ref)) <= 1e-14
+    x_pair = tuple(m for m in fock.modes if m[0] == "x")
+    state = quantum.QuantumState(basis=fock, amplitudes=amps[5])
+    assert abs(quantum.entanglement_entropy(state, x_pair)
+               - _reference_entropy(fock, amps[5], [1, 2])) <= 1e-14
+
+
+def test_top_fock_population_matches_occupation_loop(six_ion_resonance):
+    entry, fock, h = _full_generator(six_ion_resonance, cutoff=2)
+    psi, _, _ = quantum.down_conversion_states(fock, entry)
+    rng = np.random.default_rng(13)
+    spread = rng.normal(size=(4, fock.dimension)) + 1j * rng.normal(
+        size=(4, fock.dimension))
+    samples = np.vstack([
+        quantum._propagate(h, fock.number_state(psi), [0.0, 300.0, 600.0]),
+        spread / np.linalg.norm(spread, axis=1)[:, None]])
+    for amps in (samples[:3], samples):
+        top = 0.0
+        for row in amps:
+            per_mode = dict.fromkeys(fock.modes, 0.0)
+            for i in range(fock.dimension):
+                for mode, n in fock.occupations(i).items():
+                    if n == fock.cutoffs[fock.axis_of(mode)]:
+                        per_mode[mode] += abs(row[i]) ** 2
+            top = max(top, *per_mode.values())
+        assert abs(quantum._top_fock_population(fock, amps) - top) <= 1e-15
+    assert quantum._top_fock_population(fock, fock.number_state(psi)) == 0.0
 
 
 def test_rwa_refuses_off_resonant_anisotropy(six_ion_resonance):
