@@ -24,7 +24,6 @@ import time
 import numpy as np
 
 from . import classical as classical_mod
-from . import coupling as coupling_mod
 from . import equilibrium as equilibrium_mod
 from . import modes as modes_mod
 from . import quantum as quantum_mod
@@ -159,7 +158,7 @@ def _positive_float(text: str) -> float:
 
 
 def _n_range(text: str) -> tuple[int, int]:
-    """Parse '6' or '2..10' into an inclusive range."""
+    """Parse '6' or '2..10' into an inclusive range of chain lengths >= 2."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
     else:
@@ -168,8 +167,11 @@ def _n_range(text: str) -> tuple[int, int]:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range: {text!r}")
-    if lo < 1 or hi < lo:
+    if hi < lo:
         raise argparse.ArgumentTypeError(f"bad range: {text!r}")
+    if lo < 2:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} starts below 2; a resonance needs two ions")
     return lo, hi
 
 
@@ -193,15 +195,20 @@ def _parse_resonance(text: str) -> tuple[int, int, int]:
     return m, n, p
 
 
-def _find_entry(n_ions: int, m: int, n: int, p: int):
-    """Second-kind catalog entry with transverse pair {m, n} and pump p."""
-    for entry in resonances_mod.build_catalog(n_ions):
-        if entry.kind != resonances_mod.SECOND_KIND:
-            continue
-        if {entry.m, entry.n} == {m, n} and entry.p == p:
-            return entry
+def _find_entry(chain, m: int, n: int, p: int):
+    """Second-kind catalog entry with transverse pair {m, n} and pump p.
+
+    Only the requested triple goes through the catalog kernel, so the
+    result is the entry `build_catalog` would list, without the rest.
+    """
+    if all(2 <= k <= chain.n_ions for k in (m, n, p)):
+        found = resonances_mod._entries(
+            chain, np.array([p]), np.array([min(m, n)]), np.array([max(m, n)]))
+        if found and found[0].kind == resonances_mod.SECOND_KIND:
+            return found[0]
     raise ValueError(
-        f"no second-kind resonance {{{m},{n}}} <- {p} in the N = {n_ions} catalog")
+        f"no second-kind resonance {{{m},{n}}} <- {p} "
+        f"in the N = {chain.n_ions} catalog")
 
 
 def _parse_config(path: str) -> dict[str, str]:
@@ -287,15 +294,11 @@ def cmd_tables(args) -> int:
     lo, hi = args.n
     second_rows, first_rows, bound_rows = [], [], []
     for n_ions in range(lo, hi + 1):
-        u = equilibrium_mod.solve_equilibrium(n_ions)
-        axial = modes_mod.axial_matrix(u)
-        mu = np.linalg.eigvalsh(axial)
+        chain = resonances_mod._solve_chain(n_ions)
         bound_rows.append((n_ions,
-                           float(resonances_mod.alpha_min(mu)),
-                           float(modes_mod.critical_anisotropy(mu))))
-        if n_ions < 2:
-            continue
-        for entry in resonances_mod.build_catalog(n_ions):
+                           float(resonances_mod.alpha_min(chain.mu)),
+                           float(chain.alpha_crit)))
+        for entry in resonances_mod._catalog(chain):
             row = (entry.n_ions, entry.m, entry.n, entry.p,
                    float(entry.coupling), float(entry.alpha_res))
             if entry.kind == resonances_mod.FIRST_KIND:
@@ -323,11 +326,10 @@ def cmd_epsilon(args) -> int:
         if args.n is None:
             raise ValueError("--n is required with --resonance")
         m, n, p = _parse_resonance(args.resonance)
-        entry = _find_entry(args.n, m, n, p)
-        u = equilibrium_mod.solve_equilibrium(args.n)
-        mu = np.linalg.eigvalsh(modes_mod.axial_matrix(u))
-        coef = quantum_mod.rwa_coefficient(entry, mu)
-        rate = quantum_mod.coupling_rate(eps, omega3, entry, mu)
+        chain = resonances_mod._solve_chain(args.n)
+        entry = _find_entry(chain, m, n, p)
+        coef = quantum_mod.rwa_coefficient(entry, chain.mu)
+        rate = quantum_mod.coupling_rate(eps, omega3, entry, chain.mu)
         headers += ["alpha_res", "rate_over_eps_omega3", "Gamma_over_2pi_hz"]
         row += [float(entry.alpha_res), float(coef),
                 float(rate / (2.0 * np.pi))]
@@ -372,15 +374,17 @@ def cmd_simulate(args) -> int:
     if flavor not in ("rwa", "full", "both"):
         raise ValueError(f"mode must be rwa, full or both, got {flavor!r}")
 
-    entry = _find_entry(n_ions, *res_spec)
+    chain = resonances_mod._solve_chain(n_ions)
+    entry = _find_entry(chain, *res_spec)
     alpha = _config_get(cfg, "alpha", float(entry.alpha_res), float)
     ion = _resolve_ion(species_name, mass_u)
     omega3 = 2.0 * np.pi * omega3_hz
     eps = quantum_mod.nonlinearity_epsilon(ion, omega3)
 
-    u = equilibrium_mod.solve_equilibrium(n_ions)
-    basis = modes_mod.mode_basis(u, alpha)
-    tensors = coupling_mod.coupling_tensors(u, basis)
+    # the mode tensor depends on the eigenvectors only, which do not
+    # change with alpha, so the chain's probe tensors serve at any alpha
+    basis = modes_mod.mode_basis(chain.u, alpha)
+    tensors = chain.tensors
     fock = quantum_mod.FockBasis.uniform(
         quantum_mod.resonance_mode_set(entry), cutoff)
     rate_tau = abs(eps * quantum_mod.rwa_coefficient(entry, basis.mu))
@@ -449,9 +453,11 @@ def cmd_classical(args) -> int:
     velocities = _parse_mode_map(cfg.get("velocity", ""))
     detune = _config_get(cfg, "detune", 0.0, float)
     res_text = cfg.get("resonance")
-    entry = None
+    chain = entry = None
     if res_text is not None:
-        entry = _find_entry(n_ions, *_parse_resonance(res_text))
+        res_spec = _parse_resonance(res_text)
+        chain = resonances_mod._solve_chain(n_ions)
+        entry = _find_entry(chain, *res_spec)
     if "alpha" in cfg:
         alpha = _config_get(cfg, "alpha", None, float)
     elif entry is not None:
@@ -474,7 +480,10 @@ def cmd_classical(args) -> int:
 
     # the main run and the transfer comparison integrate as one batch,
     # one member per distinct alpha
-    u = equilibrium_mod.solve_equilibrium(n_ions)
+    if chain is None:
+        u = equilibrium_mod.solve_equilibrium(n_ions)
+    else:
+        u = chain.u
     alphas = list(dict.fromkeys([alpha] + [a for _, a in transfer]))
     bases = [modes_mod.mode_basis(u, a) for a in alphas]
     trajs = classical_mod.integrate_batch(

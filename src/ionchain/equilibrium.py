@@ -97,6 +97,13 @@ def solve_equilibrium(n_ions: int, tol: float = 1e-12, max_iter: int = 200) -> n
 
     Raises ConvergenceError if the residual sup-norm is not below tol
     within max_iter iterations.
+
+    Tested limit: with the default absolute tol = 1e-12 it converges at
+    every N tried up to 130, in 8 residual evaluations from N = 50 on.
+    From N = 140 it can stall with a ConvergenceError, because the
+    rounding floor of the residual (1-2e-12 there) reaches the tolerance;
+    where exactly depends on the BLAS (N = 140 with two threads, 160 with
+    one, numpy 2.4 with OpenBLAS on x86-64).
     """
     if n_ions < 1:
         raise ValueError(f"n_ions must be >= 1, got {n_ions}")

@@ -13,6 +13,12 @@ out at most one resonant alpha in the stable window; squaring either
 condition twice gives the closed form implemented in candidate_alpha.
 Entries are keyed the way the resonance acts: (m, n) = (larger, smaller)
 index for the second kind, (destroyed, created) for the first kind.
+
+The formulas are written once and evaluated as numpy expressions over
+arrays of triples: `build_catalog` passes every (p, i <= j) of a chain
+through that kernel at once, and the CLI looks up one resonance by
+passing only its own triple. The scalar `delta`, `candidate_alpha` and
+`classify` are the one-triple case of the same code.
 """
 
 from dataclasses import dataclass
@@ -43,32 +49,42 @@ MATCH_TOL = 1e-9
 COUPLING_FLOOR = 1e-12
 
 
-def _transverse_eigenvalue(mu_p: float, alpha: float) -> float:
+def _transverse_eigenvalue(mu_p, alpha):
     return 1.0 / alpha + 0.5 - 0.5 * mu_p
 
 
-def delta(mu_m: float, mu_n: float, mu_p: float, alpha: float, sign: int) -> float:
+def _first_failing(values, ok):
+    """The first element of values (broadcast to ok) where ok is false."""
+    return np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)].flat[0]
+
+
+def delta(mu_m, mu_n, mu_p, alpha, sign: int):
     """Resonance mismatch sqrt(gamma_m) +/- sqrt(gamma_n) - sqrt(mu_p).
 
     sign +1 selects the second-kind combination, -1 the first-kind one.
+    The eigenvalues and alpha may be arrays, one triple per element.
     Raises if either transverse eigenvalue is non-positive at this alpha
     (the chain would be outside the linear regime).
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    positive = alpha > 0.0
+    if not np.all(positive):
+        raise ValueError(
+            f"alpha must be positive, got {_first_failing(alpha, positive)}")
     gm = _transverse_eigenvalue(mu_m, alpha)
     gn = _transverse_eigenvalue(mu_n, alpha)
-    if gm <= 0.0 or gn <= 0.0:
+    linear = (gm > 0.0) & (gn > 0.0)
+    if not np.all(linear):
         raise ValueError(
-            f"transverse eigenvalue not positive at alpha={alpha:.6g}; "
+            f"transverse eigenvalue not positive at "
+            f"alpha={_first_failing(alpha, linear):.6g}; "
             "outside the linear regime"
         )
     return gm**0.5 + sign * gn**0.5 - mu_p**0.5
 
 
-def candidate_alpha(mu_m: float, mu_n: float, mu_p: float) -> float:
+def candidate_alpha(mu_m, mu_n, mu_p):
     """The unique alpha at which the triple can satisfy either condition.
 
     Obtained by eliminating the square roots from delta = 0:
@@ -78,7 +94,8 @@ def candidate_alpha(mu_m: float, mu_n: float, mu_p: float) -> float:
 
     The denominator is positive for every physical eigenvalue triple, so
     the candidate always exists; whether it is an actual resonance (and
-    of which kind) is decided by `classify`.
+    of which kind) is decided by `classify`. The eigenvalues may be
+    arrays, one triple per element.
     """
     den = (
         4.0 * mu_p**2
@@ -89,12 +106,35 @@ def candidate_alpha(mu_m: float, mu_n: float, mu_p: float) -> float:
         + 4.0 * mu_p * mu_n
         - 2.0 * mu_m * mu_n
     )
-    if not den > 0.0:
+    positive = den > 0.0
+    if not np.all(positive):
         raise ValueError(
             f"non-positive denominator for eigenvalues "
-            f"({mu_m:.6g}, {mu_n:.6g}, {mu_p:.6g}); inputs are unphysical"
+            f"({_first_failing(mu_m, positive):.6g}, "
+            f"{_first_failing(mu_n, positive):.6g}, "
+            f"{_first_failing(mu_p, positive):.6g}); inputs are unphysical"
         )
     return 16.0 * mu_p / den
+
+
+def _match(mu_m, mu_n, mu_p, alpha, tol):
+    """Which condition each candidate satisfies within tol.
+
+    Returns the second-kind mask, the first-kind mask and the matched
+    delta (the first-kind one where neither matches). Raises if both
+    conditions match for any candidate.
+    """
+    d_plus = delta(mu_m, mu_n, mu_p, alpha, +1)
+    d_minus = delta(mu_m, mu_n, mu_p, alpha, -1)
+    plus_ok = abs(d_plus) < tol
+    minus_ok = abs(d_minus) < tol
+    unambiguous = np.logical_not(plus_ok & minus_ok)
+    if not np.all(unambiguous):
+        raise ValueError(
+            f"ambiguous resonance: both conditions vanish at "
+            f"alpha={_first_failing(alpha, unambiguous):.9g}"
+        )
+    return plus_ok, minus_ok, np.where(plus_ok, d_plus, d_minus)
 
 
 def classify(
@@ -108,17 +148,10 @@ def classify(
 
     Returns FIRST_KIND, SECOND_KIND, or None. Both matching within tol
     would mean a degenerate transverse mode at the stability edge and is
-    reported as an error rather than silently resolved.
+    reported as an error rather than silently resolved. The one-triple
+    case of the test the catalog runs over all triples at once.
     """
-    d_plus = delta(mu_m, mu_n, mu_p, alpha_candidate, +1)
-    d_minus = delta(mu_m, mu_n, mu_p, alpha_candidate, -1)
-    plus_ok = abs(d_plus) < tol
-    minus_ok = abs(d_minus) < tol
-    if plus_ok and minus_ok:
-        raise ValueError(
-            f"ambiguous resonance: both conditions vanish at "
-            f"alpha={alpha_candidate:.9g}"
-        )
+    plus_ok, minus_ok, _ = _match(mu_m, mu_n, mu_p, alpha_candidate, tol)
     if plus_ok:
         return SECOND_KIND
     if minus_ok:
@@ -186,65 +219,103 @@ class ResonanceEntry:
             )
 
 
+@dataclass(frozen=True)
+class _Chain:
+    """One solved chain: what the catalog and the CLI read from it.
+
+    mu are the axial eigenvalues from eigvalsh and alpha_crit the zig-zag
+    threshold they give. probe is the mode basis at half that threshold
+    and tensors its cubic couplings. The probe's own mu come from eigh
+    and can differ from mu in the last bit; the catalog reads those, the
+    bounds and rates read mu. Eigenvectors and mu do not depend on alpha,
+    so the probe's vectors, and with them the mode tensor, hold at every
+    stable alpha.
+    """
+
+    u: np.ndarray
+    mu: np.ndarray
+    alpha_crit: float
+    probe: modes_mod.ModeBasis
+    tensors: coupling_mod.CouplingTensors
+
+    @property
+    def n_ions(self) -> int:
+        return self.u.size
+
+
+def _solve_chain(n_ions: int, n_cap: int = 10) -> _Chain:
+    """Solve an n_ions chain once; n_cap bounds it as in `build_catalog`."""
+    if not 2 <= n_ions <= n_cap:
+        raise ValueError(f"n_ions must be in 2..{n_cap}, got {n_ions}")
+    u = equilibrium_mod.solve_equilibrium(n_ions)
+    axial = modes_mod.axial_matrix(u)
+    mu = np.linalg.eigvalsh(axial)
+    alpha_crit = modes_mod.critical_anisotropy(mu)
+    probe = modes_mod.diagonalize(axial, alpha=0.5 * alpha_crit)
+    tensors = coupling_mod.coupling_tensors(u, probe)
+    return _Chain(u=u, mu=mu, alpha_crit=alpha_crit, probe=probe,
+                  tensors=tensors)
+
+
+def _entries(chain: _Chain, p, i, j, tol: float = MATCH_TOL):
+    """Resonance entries among the triples (p, i, j), sorted by (p, m, n).
+
+    p, i, j are integer arrays of 1-based indices in 2..N with i <= j.
+    Every step is one numpy expression over all triples: the candidate
+    alpha, the zig-zag window, the two delta signs with the ambiguity
+    error, the role keys, the first-kind i == j skip and the coupling
+    floor. Only the surviving entries are built one by one.
+    """
+    mu = chain.probe.mu
+    alpha = candidate_alpha(mu[i - 1], mu[j - 1], mu[p - 1])
+    inside = alpha < chain.alpha_crit
+    p, i, j, alpha = p[inside], i[inside], j[inside], alpha[inside]
+    second, first, residual = _match(mu[i - 1], mu[j - 1], mu[p - 1],
+                                     alpha, tol)
+    m = np.where(second, j, i)
+    n = np.where(second, i, j)
+    coupling = chain.tensors.mode[m - 1, n - 1, p - 1]
+    keep = (second | (first & (i != j))) & (np.abs(coupling) > COUPLING_FLOOR)
+    kept = np.flatnonzero(keep)
+    kept = kept[np.lexsort((n[kept], m[kept], p[kept]))]
+    return [
+        ResonanceEntry(
+            n_ions=chain.n_ions,
+            m=int(m[k]),
+            n=int(n[k]),
+            p=int(p[k]),
+            kind=SECOND_KIND if second[k] else FIRST_KIND,
+            alpha_res=alpha[k],
+            coupling=float(coupling[k]),
+            delta_residual=float(residual[k]),
+        )
+        for k in kept
+    ]
+
+
+def _catalog(chain: _Chain, tol: float = MATCH_TOL):
+    """Every resonance of a solved chain: all (p, i <= j) in 2..N at once."""
+    span = chain.n_ions - 1
+    rows, cols = np.triu_indices(span)
+    p = np.repeat(np.arange(2, chain.n_ions + 1), rows.size)
+    i = np.tile(rows + 2, span)
+    j = np.tile(cols + 2, span)
+    return _entries(chain, p, i, j, tol)
+
+
 def build_catalog(n_ions: int, n_cap: int = 10):
     """All resonant triples of an n_ions chain, with couplings.
 
-    For every axial mode p and unordered transverse pair {i <= j} (all in
-    2..N) the candidate alpha is computed, kept if it falls below the
-    zig-zag threshold, classified, and recorded unless the coupling is
-    symmetry-forbidden. Keys follow the role convention described in the
-    module docstring, so each (pair, p) combination appears exactly once.
-    Entries are sorted by (p, m, n).
+    The chain is solved once; then every axial mode p and unordered
+    transverse pair {i <= j} (all in 2..N) go through one vectorised
+    kernel, which computes the candidate alphas, keeps those below the
+    zig-zag threshold, classifies them, and drops the symmetry-forbidden
+    couplings. Keys follow the role convention described in the module
+    docstring, so each (pair, p) combination appears exactly once.
+    Entries are sorted by (p, m, n). The CLI looks up a single resonance
+    by passing just its triple to the same kernel.
 
     n_cap guards against accidentally huge enumerations; raise it
     explicitly for chains longer than 10 ions.
     """
-    if not 2 <= n_ions <= n_cap:
-        raise ValueError(f"n_ions must be in 2..{n_cap}, got {n_ions}")
-
-    u = equilibrium_mod.solve_equilibrium(n_ions)
-    axial = modes_mod.axial_matrix(u)
-    # Eigenvectors and mu do not depend on alpha; any stable alpha works
-    # for extracting the coupling tensor, so probe at half the threshold.
-    alpha_crit = modes_mod.critical_anisotropy(np.linalg.eigvalsh(axial))
-    probe = modes_mod.diagonalize(axial, alpha=0.5 * alpha_crit)
-    tensors = coupling_mod.coupling_tensors(u, probe)
-    mu = probe.mu
-
-    entries = []
-    for p in range(2, n_ions + 1):
-        for i in range(2, n_ions + 1):
-            for j in range(i, n_ions + 1):
-                a_cand = candidate_alpha(mu[i - 1], mu[j - 1], mu[p - 1])
-                if not a_cand < alpha_crit:
-                    continue
-                kind = classify(mu[i - 1], mu[j - 1], mu[p - 1], a_cand)
-                if kind is None:
-                    continue
-                if kind == SECOND_KIND:
-                    m, n = j, i
-                    sign = +1
-                else:
-                    if i == j:
-                        continue
-                    m, n = i, j
-                    sign = -1
-                coupling = tensors.mode[m - 1, n - 1, p - 1]
-                if abs(coupling) <= COUPLING_FLOOR:
-                    continue
-                residual = delta(mu[m - 1], mu[n - 1], mu[p - 1], a_cand, sign)
-                entries.append(
-                    ResonanceEntry(
-                        n_ions=n_ions,
-                        m=m,
-                        n=n,
-                        p=p,
-                        kind=kind,
-                        alpha_res=a_cand,
-                        coupling=float(coupling),
-                        delta_residual=float(residual),
-                    )
-                )
-
-    entries.sort(key=lambda e: (e.p, e.m, e.n))
-    return entries
+    return _catalog(_solve_chain(n_ions, n_cap))

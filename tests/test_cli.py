@@ -110,6 +110,15 @@ def test_bad_count_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["1..2", "1", "0..10"])
+def test_tables_range_below_two_is_a_usage_error(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tables", "--n", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"range {text!r} starts below 2" in err
+
+
 def test_zigzag_alpha_fails_cleanly(capsys):
     code, out, err = run_cli(capsys, "modes", "--n", "6", "--alpha", "0.5")
     assert code == 1
@@ -144,6 +153,28 @@ def test_unknown_resonance(capsys):
                            "--resonance", "9,9,9")
     assert code == 1
     assert "no second-kind resonance" in err
+
+
+@pytest.mark.parametrize("n_ions", range(2, 11))
+def test_single_triple_lookup_matches_a_catalog_scan(n_ions):
+    catalog = resonances.build_catalog(n_ions)
+    chain = resonances._solve_chain(n_ions)
+    indices = range(1, n_ions + 2)
+    for m in indices:
+        for n in indices:
+            for p in indices:
+                # the lookup the CLI made before it had a single-triple kernel
+                scan = [e for e in catalog
+                        if e.kind == resonances.SECOND_KIND
+                        and {e.m, e.n} == {m, n} and e.p == p]
+                if scan:
+                    assert cli._find_entry(chain, m, n, p) == scan[0]
+                else:
+                    message = (f"no second-kind resonance {{{m},{n}}} <- {p} "
+                               f"in the N = {n_ions} catalog")
+                    with pytest.raises(ValueError) as exc:
+                        cli._find_entry(chain, m, n, p)
+                    assert str(exc.value) == message
 
 
 def test_malformed_config_line(tmp_path, capsys):
@@ -410,6 +441,33 @@ def test_classical_transfer_wiring(tmp_path, capsys):
         assert float(row["alpha"]) == scale * entry.alpha_res
         assert float(row["pair_energy_gain"]) == gain
         assert float(row["resonant_over_this"]) == gains[0] / gain
+
+
+def test_each_command_solves_each_chain_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = equilibrium.solve_equilibrium
+
+    def counting_solve(n_ions, *args, **kwargs):
+        calls.append(n_ions)
+        return solve(n_ions, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", counting_solve)
+    sim_cfg = tmp_path / "sim.cfg"
+    sim_cfg.write_text(SIM_CONFIG)
+    classical_cfg = tmp_path / "classical.cfg"
+    classical_cfg.write_text(
+        "n = 6\nresonance = 6,5,5\ndetune = 0.2\n"
+        "displacement = z5:0.01\ndt = 2e-3\nt_final = 1\nstride = 10\n")
+    for argv, solved in (
+            (["epsilon", "--species", "Ca40", "--omega3", "2e6", "--n", "9",
+              "--resonance", "9,8,7"], [9]),
+            (["tables", "--n", "2..10"], list(range(2, 11))),
+            (["simulate", str(sim_cfg)], [6]),
+            (["classical", str(classical_cfg)], [6])):
+        calls.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert calls == solved, argv[0]
 
 
 def test_console_script_entry_point():

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from ionchain import coupling as coupling_mod
+from ionchain import equilibrium as equilibrium_mod
 from ionchain import modes, resonances
-from ionchain.resonances import FIRST_KIND, SECOND_KIND
+from ionchain import modes as modes_mod
+from ionchain.resonances import (COUPLING_FLOOR, FIRST_KIND, SECOND_KIND,
+                                 ResonanceEntry, candidate_alpha, classify,
+                                 delta)
 
 
 def test_two_ion_resonance_is_four_sevenths(catalogs):
@@ -121,3 +126,91 @@ def test_build_catalog_range_guard():
 def test_catalog_sizes(catalogs):
     sizes = [len(catalogs[n]) for n in range(2, 11)]
     assert sizes == [1, 2, 5, 8, 14, 17, 26, 35, 50]
+
+
+def _reference_catalog(n_ions, n_cap=10):
+    """The scalar triple loop the vectorised kernel replaced, verbatim."""
+    if not 2 <= n_ions <= n_cap:
+        raise ValueError(f"n_ions must be in 2..{n_cap}, got {n_ions}")
+
+    u = equilibrium_mod.solve_equilibrium(n_ions)
+    axial = modes_mod.axial_matrix(u)
+    # Eigenvectors and mu do not depend on alpha; any stable alpha works
+    # for extracting the coupling tensor, so probe at half the threshold.
+    alpha_crit = modes_mod.critical_anisotropy(np.linalg.eigvalsh(axial))
+    probe = modes_mod.diagonalize(axial, alpha=0.5 * alpha_crit)
+    tensors = coupling_mod.coupling_tensors(u, probe)
+    mu = probe.mu
+
+    entries = []
+    for p in range(2, n_ions + 1):
+        for i in range(2, n_ions + 1):
+            for j in range(i, n_ions + 1):
+                a_cand = candidate_alpha(mu[i - 1], mu[j - 1], mu[p - 1])
+                if not a_cand < alpha_crit:
+                    continue
+                kind = classify(mu[i - 1], mu[j - 1], mu[p - 1], a_cand)
+                if kind is None:
+                    continue
+                if kind == SECOND_KIND:
+                    m, n = j, i
+                    sign = +1
+                else:
+                    if i == j:
+                        continue
+                    m, n = i, j
+                    sign = -1
+                coupling = tensors.mode[m - 1, n - 1, p - 1]
+                if abs(coupling) <= COUPLING_FLOOR:
+                    continue
+                residual = delta(mu[m - 1], mu[n - 1], mu[p - 1], a_cand, sign)
+                entries.append(
+                    ResonanceEntry(
+                        n_ions=n_ions,
+                        m=m,
+                        n=n,
+                        p=p,
+                        kind=kind,
+                        alpha_res=a_cand,
+                        coupling=float(coupling),
+                        delta_residual=float(residual),
+                    )
+                )
+
+    entries.sort(key=lambda e: (e.p, e.m, e.n))
+    return entries
+
+
+@pytest.mark.parametrize("n", [*range(2, 21), 24, 28, 32])
+def test_vectorised_catalog_matches_the_triple_loop(n):
+    cat = resonances.build_catalog(n, n_cap=max(n, 10))
+    ref = _reference_catalog(n, n_cap=max(n, 10))
+    assert len(cat) == len(ref)
+    # two ulps of the largest term, sqrt(mu_N): every delta term is at most
+    # that large, and numpy takes **0.5 of an array as sqrt, of a scalar as pow
+    mu_top = resonances._solve_chain(n, n_cap=max(n, 10)).mu[-1]
+    residual_tol = 2.0 * np.spacing(np.sqrt(mu_top))
+    for got, want in zip(cat, ref):
+        # same entry, same place, every printed field bit-equal
+        assert ((got.n_ions, got.m, got.n, got.p, got.kind)
+                == (want.n_ions, want.m, want.n, want.p, want.kind))
+        assert got.alpha_res == want.alpha_res
+        assert got.coupling == want.coupling
+        assert abs(got.delta_residual - want.delta_residual) <= residual_tol
+
+
+def test_vectorised_kernel_reports_ambiguity_for_loose_tolerance():
+    chain = resonances._solve_chain(6)
+    with pytest.raises(ValueError, match="ambiguous"):
+        resonances._catalog(chain, tol=10.0)
+
+
+def test_array_inputs_name_the_first_failing_triple():
+    mu = np.array([3.0, 3.0, 3.0])
+    with pytest.raises(ValueError, match="alpha=5;"):
+        resonances.delta(mu, mu, mu, np.array([0.4, 5.0, 6.0]), +1)
+    soft = np.array([3.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match=r"\(0\.5, 0\.5, 0\.5\)"):
+        resonances.candidate_alpha(soft, soft, soft)
+    a = resonances.candidate_alpha(mu, mu, mu)
+    assert np.all(a == resonances.candidate_alpha(3.0, 3.0, 3.0))
