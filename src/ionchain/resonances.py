@@ -226,8 +226,8 @@ class _Chain:
     mu are the axial eigenvalues from eigvalsh and alpha_crit the zig-zag
     threshold they give. probe is the mode basis at half that threshold
     and tensors its cubic couplings. The probe's own mu come from eigh
-    and can differ from mu in the last bit; the catalog reads those, the
-    bounds and rates read mu. Eigenvectors and mu do not depend on alpha,
+    and can differ from mu in the last few ulps; the catalog reads those,
+    the bounds and rates read mu. Eigenvectors and mu do not depend on alpha,
     so the probe's vectors, and with them the mode tensor, hold at every
     stable alpha.
     """
