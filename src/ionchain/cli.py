@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -292,6 +293,9 @@ def cmd_modes(args) -> int:
 
 def cmd_tables(args) -> int:
     lo, hi = args.n
+    # fail on the first length past the cap before solving any chain
+    for n_ions in range(lo, hi + 1):
+        resonances_mod._check_length(n_ions)
     second_rows, first_rows, bound_rows = [], [], []
     for n_ions in range(lo, hi + 1):
         chain = resonances_mod._solve_chain(n_ions)
@@ -627,9 +631,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process.
+
+    Parsing leaves a parser unchanged, so every call can share one. It is
+    kept apart from what `build_parser` returns, so a caller that changes
+    that parser does not change what `main` accepts.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     args._t0 = time.perf_counter()
     try:
         return args.func(args)

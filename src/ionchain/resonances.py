@@ -21,6 +21,7 @@ passing only its own triple. The scalar `delta`, `candidate_alpha` and
 `classify` are the one-triple case of the same code.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ SECOND_KIND = "second"
 MATCH_TOL = 1e-9
 # Couplings at or below this are treated as zero (symmetry-forbidden).
 COUPLING_FLOOR = 1e-12
+# Solved chains one process keeps, least recently used first out.
+_CHAIN_MEMO_SIZE = 16
 
 
 def _transverse_eigenvalue(mu_p, alpha):
@@ -229,7 +232,8 @@ class _Chain:
     and can differ from mu in the last few ulps; the catalog reads those,
     the bounds and rates read mu. Eigenvectors and mu do not depend on alpha,
     so the probe's vectors, and with them the mode tensor, hold at every
-    stable alpha.
+    stable alpha. Every array is read-only: one memoised chain is shared
+    by every caller in the process.
     """
 
     u: np.ndarray
@@ -238,15 +242,41 @@ class _Chain:
     probe: modes_mod.ModeBasis
     tensors: coupling_mod.CouplingTensors
 
+    def __post_init__(self):
+        for name in ("u", "mu"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     @property
     def n_ions(self) -> int:
         return self.u.size
 
 
-def _solve_chain(n_ions: int, n_cap: int = 10) -> _Chain:
-    """Solve an n_ions chain once; n_cap bounds it as in `build_catalog`."""
+def _check_length(n_ions: int, n_cap: int = 10) -> None:
+    """Raise unless 2 <= n_ions <= n_cap, the guard of `build_catalog`."""
     if not 2 <= n_ions <= n_cap:
         raise ValueError(f"n_ions must be in 2..{n_cap}, got {n_ions}")
+
+
+def _solve_chain(n_ions: int, n_cap: int = 10) -> _Chain:
+    """The solved n_ions chain; n_cap bounds it as in `build_catalog`.
+
+    Each chain length is solved once per process: the result is kept in
+    an LRU memo of _CHAIN_MEMO_SIZE chains keyed by n_ions alone, so
+    repeated CLI calls and catalogs in one process share it. The guard
+    runs before the lookup, so an out-of-range n_ions raises on every
+    call and nothing is cached for it. The ion and mode tensors dominate
+    an entry, 2 N^3 8-byte floats (0.5 MB at N = 32); the memo holds at
+    most _CHAIN_MEMO_SIZE of them.
+    """
+    _check_length(n_ions, n_cap)
+    return _memo_chain(n_ions)
+
+
+@functools.lru_cache(maxsize=_CHAIN_MEMO_SIZE)
+def _memo_chain(n_ions: int) -> _Chain:
+    """The solve behind `_solve_chain`; `__wrapped__` is the uncached one."""
     u = equilibrium_mod.solve_equilibrium(n_ions)
     axial = modes_mod.axial_matrix(u)
     mu = np.linalg.eigvalsh(axial)
@@ -306,14 +336,16 @@ def _catalog(chain: _Chain, tol: float = MATCH_TOL):
 def build_catalog(n_ions: int, n_cap: int = 10):
     """All resonant triples of an n_ions chain, with couplings.
 
-    The chain is solved once; then every axial mode p and unordered
-    transverse pair {i <= j} (all in 2..N) go through one vectorised
-    kernel, which computes the candidate alphas, keeps those below the
-    zig-zag threshold, classifies them, and drops the symmetry-forbidden
-    couplings. Keys follow the role convention described in the module
-    docstring, so each (pair, p) combination appears exactly once.
-    Entries are sorted by (p, m, n). The CLI looks up a single resonance
-    by passing just its triple to the same kernel.
+    The chain is solved once per process and kept in the memo of
+    `_solve_chain` (16 chains, 2 N^3 8-byte floats of tensors each).
+    Then every axial mode p and unordered transverse pair {i <= j} (all
+    in 2..N) go through one vectorised kernel, which computes the
+    candidate alphas, keeps those below the zig-zag threshold, classifies
+    them, and drops the symmetry-forbidden couplings. Keys follow the
+    role convention described in the module docstring, so each (pair, p)
+    combination appears exactly once. Entries are sorted by (p, m, n).
+    The CLI looks up a single resonance by passing just its triple to the
+    same kernel.
 
     n_cap guards against accidentally huge enumerations; raise it
     explicitly for chains longer than 10 ions.

@@ -443,7 +443,9 @@ def test_classical_transfer_wiring(tmp_path, capsys):
         assert float(row["resonant_over_this"]) == gains[0] / gain
 
 
-def test_each_command_solves_each_chain_once(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def solves(monkeypatch):
+    """The chain lengths `solve_equilibrium` is called with, from now on."""
     calls = []
     solve = equilibrium.solve_equilibrium
 
@@ -452,6 +454,10 @@ def test_each_command_solves_each_chain_once(tmp_path, capsys, monkeypatch):
         return solve(n_ions, *args, **kwargs)
 
     monkeypatch.setattr(equilibrium, "solve_equilibrium", counting_solve)
+    return calls
+
+
+def test_each_command_solves_each_chain_once(tmp_path, capsys, solves):
     sim_cfg = tmp_path / "sim.cfg"
     sim_cfg.write_text(SIM_CONFIG)
     classical_cfg = tmp_path / "classical.cfg"
@@ -464,10 +470,74 @@ def test_each_command_solves_each_chain_once(tmp_path, capsys, monkeypatch):
             (["tables", "--n", "2..10"], list(range(2, 11))),
             (["simulate", str(sim_cfg)], [6]),
             (["classical", str(classical_cfg)], [6])):
-        calls.clear()
+        resonances._memo_chain.cache_clear()
+        solves.clear()
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
-        assert calls == solved, argv[0]
+        assert solves == solved, argv[0]
+        # the same command again in this process reuses the solved chains
+        solves.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert solves == [], argv[0]
+
+
+def test_tables_past_the_cap_fails_before_solving(capsys, solves):
+    resonances._memo_chain.cache_clear()
+    code, out, err = run_cli(capsys, "tables", "--n", "2..11")
+    assert code == 1 and out == ""
+    assert err == "error: n_ions must be in 2..10, got 11\n"
+    assert solves == []
+
+
+PLAIN_TABLE = "ion  u        \n1    -0.629961\n2    0.629961 \n"
+
+
+@pytest.mark.parametrize("options", [
+    ["--precision", "17"],
+    ["--format", "csv"],
+    ["--output-dir", "OUT"],
+])
+@pytest.mark.parametrize("trailing", [False, True])
+def test_parser_reuse_keeps_no_options(tmp_path, capsys, options, trailing):
+    options = [str(tmp_path) if o == "OUT" else o for o in options]
+    command = ["equilibrium", "--n", "2"]
+    argv = command + options if trailing else options + command
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out != PLAIN_TABLE
+    code, out, err = run_cli(capsys, *command)
+    assert code == 0 and err == ""
+    assert out == PLAIN_TABLE
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["tables", "--n", "ten"],
+    ["tables"],
+    ["epsilon", "--species", "Ca40", "--omega3", "2e6", "--bogus"],
+])
+def test_parser_reuse_survives_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "usage: ionchain" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "equilibrium", "--n", "2")
+    assert code == 0 and err == ""
+    assert out == PLAIN_TABLE
+
+
+def test_changing_a_built_parser_leaves_main_alone(capsys):
+    cli._main_parser.cache_clear()
+    for _ in range(2):   # before and after main has built its own parser
+        extended = cli.build_parser()
+        extended.add_argument("--extra")
+        assert extended.parse_args(["--extra=1", "equilibrium",
+                                    "--n", "2"]).extra == "1"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--extra=1", "equilibrium", "--n", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --extra=1" in capsys.readouterr().err
+        assert run_cli(capsys, "equilibrium", "--n", "2")[1] == PLAIN_TABLE
 
 
 def test_console_script_entry_point():

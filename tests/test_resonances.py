@@ -214,3 +214,64 @@ def test_array_inputs_name_the_first_failing_triple():
         resonances.candidate_alpha(soft, soft, soft)
     a = resonances.candidate_alpha(mu, mu, mu)
     assert np.all(a == resonances.candidate_alpha(3.0, 3.0, 3.0))
+
+
+# --- the per-process chain memo -------------------------------------------
+
+def _chain_arrays(chain):
+    return {"u": chain.u, "mu": chain.mu, "probe.mu": chain.probe.mu,
+            "probe.gamma": chain.probe.gamma,
+            "probe.vectors": chain.probe.vectors,
+            "tensors.ion": chain.tensors.ion,
+            "tensors.mode": chain.tensors.mode}
+
+
+def test_memoised_chain_is_read_only():
+    chain = resonances._solve_chain(6)
+    assert resonances._solve_chain(6) is chain
+    for name, arr in _chain_arrays(chain).items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1.0
+        assert not arr.flags.writeable, name
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_memoised_chain_equals_a_fresh_solve_bit_for_bit(n):
+    warm = resonances._solve_chain(n)
+    fresh = resonances._memo_chain.__wrapped__(n)
+    assert fresh is not warm
+    fresh_arrays = _chain_arrays(fresh)
+    for name, arr in _chain_arrays(warm).items():
+        assert arr.dtype == fresh_arrays[name].dtype
+        assert arr.tobytes() == fresh_arrays[name].tobytes(), name
+    assert warm.alpha_crit == fresh.alpha_crit
+    assert warm.probe.alpha == fresh.probe.alpha
+    assert warm.tensors.stretch_norm == fresh.tensors.stretch_norm
+
+
+def test_chain_memo_is_bounded_and_keyed_by_length_alone():
+    assert resonances._CHAIN_MEMO_SIZE == 16
+    assert (resonances._memo_chain.cache_info().maxsize
+            == resonances._CHAIN_MEMO_SIZE)
+    assert resonances._solve_chain(12, n_cap=12) is resonances._solve_chain(
+        12, n_cap=20)
+
+
+@pytest.mark.parametrize("n, n_cap", [(11, 10), (1, 10), (0, 10), (21, 20)])
+def test_out_of_range_chain_raises_on_every_call(n, n_cap, monkeypatch):
+    if n >= 2:
+        # a memoised chain of this length must not slip past a lower cap
+        resonances._solve_chain(n, n_cap=n)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a chain outside the cap")
+
+    monkeypatch.setattr(equilibrium_mod, "solve_equilibrium", no_solve)
+    cached = resonances._memo_chain.cache_info().currsize
+    message = f"n_ions must be in 2..{n_cap}, got {n}"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            resonances._solve_chain(n, n_cap=n_cap)
+        with pytest.raises(ValueError, match=message):
+            resonances.build_catalog(n, n_cap=n_cap)
+    assert resonances._memo_chain.cache_info().currsize == cached
