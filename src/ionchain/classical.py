@@ -8,9 +8,27 @@ trajectory serves every ion species and drive frequency at once.
 The integrator is plain velocity Verlet with a fixed step.  Symplecticity
 keeps the sampled energy bounded instead of drifting, which is what the
 mode-energy bookkeeping below relies on.  One loop integrates a batch of
-trajectories that differ only in alpha (positions of shape (B, n, 3) and
-a per-member stiffness), so a resonant run and its detuned comparisons
-advance together; a single trajectory is a batch of one.
+trajectories that differ only in alpha (a per-member stiffness), so a
+resonant run and its detuned comparisons advance together; a single
+trajectory is a batch of one.
+
+The loop holds the state ion-major, positions and velocities of shape
+(n, B, 3), so the pair differences of the whole batch are one matmul on
+an (n, 3B) view.  One force kernel (`_force_kernel`) serves the loop and
+`accelerations`, which moves the ion axis of its input first.  The
+kernel and the loop allocate every work array once per call and then
+write through `out=`, so a step allocates nothing; each step takes one
+force evaluation and one product 0.5 * dt * acc, shared by both
+half-kicks.  Every member stays bit for bit the run of its own, and the
+kernel keeps the operations that rounding depends on:
+
+- r^2 stays an `einsum`.  On a contiguous last axis it sums the three
+  squares in a pairing that follows the SIMD width of the build, and a
+  hand-written sum (or `vecdot`, or a matmul) rounds differently.
+- r^-3 is one `power` over the contiguous (pairs, B) array, not over a
+  broadcast view, which can take another pow loop.
+- The scatter of pair forces back onto the ions runs member by member
+  (see `_force_kernel`), since BLAS orders that sum by the product shape.
 """
 
 from __future__ import annotations
@@ -103,9 +121,9 @@ def _separations(pos: np.ndarray,
     Over leading axes the pair axis is laid out outermost in memory, as
     indexing pos[..., i, :] - pos[..., j, :] lays it out.  The pair sums
     of the energies then keep their summation order, and the printed
-    energies their last digits.  `_force` forms the same differences as
-    a plain `diff @ pos`, which is faster per call and equal entry by
-    entry.
+    energies their last digits.  The force kernel forms the same
+    differences as a plain matmul, which is faster per call and equal
+    entry by entry.
     """
     d = np.moveaxis(np.tensordot(diff, pos, axes=(1, -2)), 0, -2)
     return d, np.einsum("...pk,...pk->...p", d, d)
@@ -115,16 +133,54 @@ def _stiffness(alpha: float) -> np.ndarray:
     return np.array([1.0 / alpha, 1.0 / alpha, 1.0])
 
 
-def _force(pos: np.ndarray, scatter: np.ndarray, diff: np.ndarray,
-           stiff: np.ndarray) -> np.ndarray:
-    """Coulomb plus trap force per unit mass over (..., n, 3), unchecked.
+def _force_kernel(pos: np.ndarray, out: np.ndarray, stiff: np.ndarray):
+    """The Coulomb plus trap force per unit mass, bound to two arrays.
 
+    pos and out are contiguous ion-major arrays of shape (n, *lead, 3);
+    stiff broadcasts against (*lead, 3).  Each call of the returned
+    function reads pos as it stands and writes the accelerations into
+    out, through work arrays allocated here once.
+
+    The pair differences are one 2-D matmul over an (n, 3 * prod(lead))
+    view of pos; each entry sums +-1 times two coordinates and exact
+    zeros, so any summation order gives the same bits.  The scatter back
+    onto the ions sums n - 1 nonzero terms in an order BLAS picks by the
+    product's shape (a (pairs, 3B) right-hand side rounds differently
+    from B (pairs, 3) ones), so it is one stacked matmul over strided
+    per-member views, each shaped as a single trajectory's product.
     Coincident ions give NaN rather than an error; callers either check
     first or catch the NaN downstream.
     """
-    d = diff @ pos
-    r2 = np.einsum("...pk,...pk->...p", d, d)
-    return scatter @ (d * r2[..., None] ** -1.5) - pos * stiff
+    n, lead = pos.shape[0], pos.shape[1:-1]
+    scatter, diff = _pairs(n)
+    n_pairs = diff.shape[0]
+    pos_2d = pos.reshape(n, pos.size // n)
+    d = np.empty((n_pairs, pos_2d.shape[1]))
+    d3 = d.reshape((n_pairs,) + lead + (3,))
+    r2 = np.empty((n_pairs,) + lead)
+    r2_col = r2[..., None]
+    f3 = np.empty_like(d3)
+    # (*lead, pairs, 3) and (*lead, n, 3) views for the scatter
+    f_members = np.moveaxis(f3, 0, -2)
+    out_members = np.moveaxis(out, 0, -2)
+    # spread over every ion, so the trap product needs no broadcasting
+    stiff = np.broadcast_to(stiff, pos.shape).copy()
+    trap = np.empty_like(stiff)
+    matmul, einsum, power, multiply, subtract = (
+        np.matmul, np.einsum, np.power, np.multiply, np.subtract)
+
+    def force() -> None:
+        matmul(diff, pos_2d, out=d)
+        einsum("...k,...k->...", d3, d3, out=r2)
+        # on the contiguous (pairs, *lead) array: a broadcast operand
+        # can take another pow loop, with other last bits
+        power(r2, -1.5, out=r2)
+        multiply(d3, r2_col, out=f3)
+        matmul(scatter, f_members, out=out_members)
+        multiply(pos, stiff, out=trap)
+        subtract(out, trap, out=out)
+
+    return force
 
 
 def accelerations(positions: np.ndarray, alpha: float) -> np.ndarray:
@@ -139,10 +195,14 @@ def accelerations(positions: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError("positions must have shape (..., n, 3)")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    scatter, diff = _pairs(pos.shape[-2])
-    if np.any(_separations(pos, diff)[1] == 0.0):
+    n = pos.shape[-2]
+    if np.any(_separations(pos, _pairs(n)[1])[1] == 0.0):
         raise ValueError("coincident ion positions")
-    return _force(pos, scatter, diff, _stiffness(alpha))
+    # the kernel works ion-major: ions first, then the leading axes
+    ion_major = np.ascontiguousarray(np.moveaxis(pos, -2, 0))
+    acc = np.empty_like(ion_major)
+    _force_kernel(ion_major, acc, _stiffness(alpha))()
+    return np.moveaxis(acc, 0, -2)
 
 
 def potential_energy(positions: np.ndarray, alpha: float) -> np.ndarray:
@@ -242,8 +302,9 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
     n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise ValueError("t_final shorter than one step")
-    pos = np.stack([p for p, _ in initial])
-    vel = np.stack([v for _, v in initial])
+    # ion-major state (n, B, 3), the layout of the force kernel
+    pos = np.stack([p for p, _ in initial], axis=1)
+    vel = np.stack([v for _, v in initial], axis=1)
 
     eq_pos = np.zeros((u.size, 3))
     eq_pos[:, 2] = u
@@ -252,8 +313,9 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
     # below catches blowups (including the NaNs a collision would
     # produce) before anything is stored
     n = u.size
-    scatter, diff = _pairs(n)
-    stiff = np.stack([_stiffness(basis.alpha) for basis in bases])[:, None, :]
+    stiff = np.stack([_stiffness(basis.alpha) for basis in bases])
+    kick = np.empty_like(pos)
+    force = _force_kernel(pos, kick, stiff)
 
     # separate arrays per member, so that a caller who keeps one
     # trajectory does not keep the others alive
@@ -261,28 +323,42 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
     traj_pos = [np.empty((samples, n, 3)) for _ in bases]
     traj_vel = [np.empty((samples, n, 3)) for _ in bases]
 
-    def record(step: int) -> None:
+    def record(step: int, sample: int) -> None:
         # written so that NaN fails the test as well
-        if not np.max(np.abs(pos)) <= POSITION_BOUND:
-            bad = ~(np.max(np.abs(pos), axis=(1, 2)) <= POSITION_BOUND)
+        if not (pos.max() <= POSITION_BOUND
+                and -pos.min() <= POSITION_BOUND):
+            bad = ~(np.max(np.abs(pos), axis=(0, 2)) <= POSITION_BOUND)
             alphas = ", ".join(f"{bases[b].alpha:g}"
                                for b in np.flatnonzero(bad))
             raise UnstableTrajectoryError(
                 f"ion coordinate exceeded {POSITION_BOUND:g} at "
                 f"t = {step * dt:g} (alpha = {alphas})")
         for b in range(len(bases)):
-            traj_pos[b][step // stride] = pos[b]
-            traj_vel[b][step // stride] = vel[b]
+            traj_pos[b][sample] = pos[:, b]
+            traj_vel[b][sample] = vel[:, b]
 
-    record(0)
-    acc = _force(pos, scatter, diff, stiff)
+    record(0, 0)
+    # the kernel writes each acceleration into kick, which is then scaled
+    # in place to 0.5 * dt * acc, rounded as that expression rounds it;
+    # the one product serves both half-kicks around a force evaluation
+    half = 0.5 * dt
+    dx = np.empty_like(pos)
+    force()
+    np.multiply(kick, half, out=kick)
+    sample, countdown = 0, stride
+    add, multiply = np.add, np.multiply
     for step in range(1, n_steps + 1):
-        vel += 0.5 * dt * acc
-        pos += dt * vel
-        acc = _force(pos, scatter, diff, stiff)
-        vel += 0.5 * dt * acc
-        if step % stride == 0:
-            record(step)
+        add(vel, kick, out=vel)
+        multiply(vel, dt, out=dx)
+        add(pos, dx, out=pos)
+        force()
+        multiply(kick, half, out=kick)
+        add(vel, kick, out=vel)
+        countdown -= 1
+        if not countdown:
+            sample += 1
+            countdown = stride
+            record(step, sample)
     times = np.arange(0, n_steps + 1, stride) * dt
     out = []
     for basis, member_pos, member_vel in zip(bases, traj_pos, traj_vel):

@@ -45,8 +45,31 @@ def _fmt(value, precision: int) -> str:
     return str(value)
 
 
+# cell types that %-formatting renders exactly as `_fmt` does
+_PLAIN_FLOATS = frozenset((float, np.float64))
+
+
+def _format_columns(rows: list, precision: int) -> list[list[str]]:
+    """The cells of `rows` as `_fmt` formats them, one list per column.
+
+    A column of plain floats, the common case, is formatted by one
+    C-level call per cell; any other column goes through `_fmt`.
+    """
+    spec = f"%.{precision}g"
+    columns = []
+    for column in zip(*rows):
+        if _PLAIN_FLOATS.issuperset(map(type, column)):
+            columns.append(list(map(spec.__mod__, column)))
+        else:
+            columns.append([_fmt(v, precision) for v in column])
+    return columns
+
+
 class Artifact:
-    """One named table destined for stdout or a file."""
+    """One named table destined for stdout or a file.
+
+    Every row holds one cell per header.
+    """
 
     def __init__(self, name: str, headers: list[str], rows: list[tuple],
                  notes: list[str] | None = None):
@@ -56,23 +79,22 @@ class Artifact:
         self.notes = notes or []
 
     def as_text(self, precision: int) -> str:
-        cells = [[_fmt(v, precision) for v in row] for row in self.rows]
+        columns = _format_columns(self.rows, precision)
         widths = [len(h) for h in self.headers]
-        for row in cells:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
+        for i, cells in enumerate(columns):
+            widths[i] = max(widths[i], max(map(len, cells)))
         lines = [f"# {note}" for note in self.notes]
         lines.append("  ".join(h.ljust(w) for h, w in zip(self.headers, widths)))
-        for row in cells:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+        # one left-justifying template pads a whole row in one call
+        line = "  ".join(f"%-{w}s" for w in widths[:len(columns)])
+        lines.extend(map(line.__mod__, zip(*columns)))
         return "\n".join(lines) + "\n"
 
     def as_csv(self, precision: int) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.headers)
-        for row in self.rows:
-            writer.writerow([_fmt(v, precision) for v in row])
+        writer.writerows(zip(*_format_columns(self.rows, precision)))
         return buf.getvalue()
 
     def as_json(self, precision: int) -> str:
@@ -508,16 +530,11 @@ def cmd_classical(args) -> int:
     for direction in ("z", "x", "y"):
         energy_headers += [f"e_{direction}{p}" for p in range(1, n_ions + 1)]
     energy_headers += ["total", "energy_drift"]
-    e0 = traj.total_energy[0]
-    drift_scale = max(abs(e0), 1e-300)
-    energy_rows = []
-    for k in range(traj.n_samples):
-        row = [float(traj.times[k])]
-        for direction in ("z", "x", "y"):
-            row += [float(v) for v in proj.energies[direction][k]]
-        row += [float(traj.total_energy[k]),
-                float((traj.total_energy[k] - e0) / drift_scale)]
-        energy_rows.append(tuple(row))
+    energy = traj.total_energy
+    drift_scale = max(abs(energy[0]), 1e-300)
+    energy_rows = np.column_stack(
+        [traj.times, *(proj.energies[d] for d in ("z", "x", "y")),
+         energy, (energy - energy[0]) / drift_scale]).tolist()
 
     spectra_rows = []
     dt_sample = float(traj.times[1] - traj.times[0])
@@ -643,7 +660,12 @@ def _main_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _main_parser().parse_args(argv)
+    try:
+        args = _main_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits on --help (0) and on a usage error (2); return
+        # the code so an in-process caller gets it like a shell does
+        return exc.code
     args._t0 = time.perf_counter()
     try:
         return args.func(args)

@@ -282,19 +282,21 @@ def test_classical_oracle(record_criterion):
     pump = {("z", entry.p): 1e-2}
     seeds6 = {(d, p): 1e-6 for d in ("x", "y") for p in (entry.m, entry.n)}
 
-    def pair_gain(alpha):
-        basis = modes.mode_basis(u6, alpha)
-        traj = classical.integrate(u6, basis,
-                                   displacements={**pump, **seeds6},
-                                   dt=2e-3, t_final=300.0, stride=10)
+    # the resonant run and both detuned runs as one batch; each member is
+    # bit for bit the run of its own
+    bases = [modes.mode_basis(u6, f * entry.alpha_res) for f in (1.0, 0.8, 1.2)]
+    trajs = classical.integrate_batch(u6, bases,
+                                      displacements={**pump, **seeds6},
+                                      dt=2e-3, t_final=300.0, stride=10)
+
+    def pair_gain(basis, traj):
         proj = classical.mode_projection(traj, basis, u6)
         series = sum(proj.energies[d][:, p - 1]
                      for d in ("x", "y") for p in (entry.m, entry.n))
         return float(np.max(series - series[0]))
 
-    resonant = pair_gain(entry.alpha_res)
-    ratio = min(resonant / pair_gain(0.8 * entry.alpha_res),
-                resonant / pair_gain(1.2 * entry.alpha_res))
+    resonant, low, high = (pair_gain(b, t) for b, t in zip(bases, trajs))
+    ratio = min(resonant / low, resonant / high)
     elapsed = time.perf_counter() - t0
 
     ok = worst_freq < 1e-3 and ratio >= 10.0 and elapsed < 120.0

@@ -185,19 +185,21 @@ def test_matmul_pair_differences_match_indexed_force(pos, alphas):
     iu, ju = np.triu_indices(pos.shape[-2], k=1)
     sep = np.linalg.norm(pos[..., iu, :] - pos[..., ju, :], axis=-1)
     assume(np.min(sep) > 0.05)
-    scatter, diff = classical._pairs(pos.shape[-2])
-    # one alpha for the whole stack, then one alpha per member
-    got = classical._force(pos, scatter, diff, classical._stiffness(alphas[0]))
+    # one alpha for the whole stack, then one alpha per member through
+    # the kernel on the ion-major (n, batch, 3) layout of the Verlet loop
+    got = classical.accelerations(pos, alphas[0])
     assert np.array_equal(got, _reference_force(pos, alphas[0]))
     stiff = np.stack([classical._stiffness(a) for a in alphas[:len(pos)]])
-    got = classical._force(pos, scatter, diff, stiff[:, None, :])
-    for member, alpha, acc in zip(pos, alphas, got):
+    ion_major = np.ascontiguousarray(np.moveaxis(pos, 1, 0))
+    acc = np.empty_like(ion_major)
+    classical._force_kernel(ion_major, acc, stiff)()
+    for member, alpha, acc in zip(pos, alphas, np.moveaxis(acc, 0, 1)):
         assert np.array_equal(acc, _reference_force(member, alpha))
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(2, 6), batch=st.sampled_from([1, 3]),
-       fractions=st.lists(st.floats(0.2, 0.95), min_size=3, max_size=3),
+@given(n=st.integers(2, 6), batch=st.integers(1, 4),
+       fractions=st.lists(st.floats(0.2, 0.95), min_size=4, max_size=4),
        amps=st.lists(st.floats(-0.02, 0.02), min_size=4, max_size=4),
        stride=st.integers(1, 7))
 def test_batched_verlet_matches_single_reference(chains, n, batch, fractions,

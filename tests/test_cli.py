@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ionchain import (classical, cli, coupling, equilibrium, modes, quantum,
                       resonances)
@@ -105,16 +107,17 @@ def test_epsilon_with_resonance_target(capsys):
 # --- failure modes ------------------------------------------------------
 
 def test_bad_count_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["equilibrium", "--n", "0"])
-    assert exc.value.code == 2
+    assert cli.main(["equilibrium", "--n", "0"]) == 2
+
+
+def test_help_returns_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ionchain")
 
 
 @pytest.mark.parametrize("text", ["1..2", "1", "0..10"])
 def test_tables_range_below_two_is_a_usage_error(capsys, text):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["tables", "--n", text])
-    assert exc.value.code == 2
+    assert cli.main(["tables", "--n", text]) == 2
     err = capsys.readouterr().err
     assert f"range {text!r} starts below 2" in err
 
@@ -219,6 +222,80 @@ def test_bad_mode_amplitude(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classical", str(cfg))
     assert code == 1
     assert "bad mode amplitude" in err
+
+
+# --- table formatting ---------------------------------------------------
+
+# The row-wise rendering the column-wise formatter replaced, with the cell
+# rule of `cli._fmt` spelled out.
+
+def _reference_cell(value, precision):
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.{precision}g}"
+    return str(value)
+
+
+def _reference_text(headers, rows, notes, precision):
+    cells = [[_reference_cell(v, precision) for v in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in cells:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = [f"# {note}" for note in notes]
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    for row in cells:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_csv(headers, rows, precision):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    for row in rows:
+        writer.writerow([_reference_cell(v, precision) for v in row])
+    return buf.getvalue()
+
+
+_CELL_KINDS = [
+    st.text(max_size=6),
+    st.integers(-10**20, 10**20),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+]
+
+
+@st.composite
+def _tables(draw):
+    """headers, rows and notes; each column holds one cell kind or a mix."""
+    n_cols = draw(st.integers(1, 5))
+    kinds = [draw(st.sampled_from(_CELL_KINDS + [st.one_of(_CELL_KINDS)]))
+             for _ in range(n_cols)]
+    rows = [tuple(draw(kind) for kind in kinds)
+            for _ in range(draw(st.integers(0, 6)))]
+    if draw(st.booleans()):   # the energy table passes lists
+        rows = [list(row) for row in rows]
+    headers = draw(st.lists(st.text(max_size=8), min_size=n_cols,
+                            max_size=n_cols))
+    notes = draw(st.lists(st.text(max_size=10), max_size=2))
+    return headers, rows, notes
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables(), precision=st.sampled_from([1, 6, 17]))
+@example(table=(["a", "b"], [], []), precision=6)
+@example(table=(["t", "e"], [(0.0, float("inf")), (np.float64(-0.0),
+                                                    float("nan"))],
+                ["note"]), precision=17)
+def test_column_formatter_matches_row_reference(table, precision):
+    headers, rows, notes = table
+    art = cli.Artifact("t", headers, rows, notes)
+    assert art.as_text(precision) == _reference_text(headers, rows, notes,
+                                                     precision)
+    assert art.as_csv(precision) == _reference_csv(headers, rows, precision)
 
 
 # --- file output, manifests, determinism --------------------------------
@@ -517,9 +594,7 @@ def test_parser_reuse_keeps_no_options(tmp_path, capsys, options, trailing):
     ["epsilon", "--species", "Ca40", "--omega3", "2e6", "--bogus"],
 ])
 def test_parser_reuse_survives_usage_errors(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
+    assert cli.main(argv) == 2
     assert "usage: ionchain" in capsys.readouterr().err
     code, out, err = run_cli(capsys, "equilibrium", "--n", "2")
     assert code == 0 and err == ""
@@ -533,9 +608,7 @@ def test_changing_a_built_parser_leaves_main_alone(capsys):
         extended.add_argument("--extra")
         assert extended.parse_args(["--extra=1", "equilibrium",
                                     "--n", "2"]).extra == "1"
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["--extra=1", "equilibrium", "--n", "2"])
-        assert exc.value.code == 2
+        assert cli.main(["--extra=1", "equilibrium", "--n", "2"]) == 2
         assert "unrecognized arguments: --extra=1" in capsys.readouterr().err
         assert run_cli(capsys, "equilibrium", "--n", "2")[1] == PLAIN_TABLE
 
@@ -555,3 +628,13 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "-1.07722" in proc.stdout
+
+
+def test_module_entry_point_usage_error():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "ionchain", "tables",
+                           "--n", "1"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "starts below 2" in proc.stderr
