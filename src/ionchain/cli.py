@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import re
@@ -55,14 +56,11 @@ def _format_columns(rows: list, precision: int) -> list[list[str]]:
     A column of plain floats, the common case, is formatted by one
     C-level call per cell; any other column goes through `_fmt`.
     """
-    spec = f"%.{precision}g"
-    columns = []
-    for column in zip(*rows):
-        if _PLAIN_FLOATS.issuperset(map(type, column)):
-            columns.append(list(map(spec.__mod__, column)))
-        else:
-            columns.append([_fmt(v, precision) for v in column])
-    return columns
+    spec = f"%.{precision}g".__mod__
+    plain = _PLAIN_FLOATS.issuperset
+    return [list(map(spec, column)) if plain(map(type, column))
+            else list(map(_fmt, column, itertools.repeat(precision)))
+            for column in zip(*rows)]
 
 
 class Artifact:
@@ -83,10 +81,10 @@ class Artifact:
         widths = [len(h) for h in self.headers]
         for i, cells in enumerate(columns):
             widths[i] = max(widths[i], max(map(len, cells)))
+        # one left-justifying template pads a whole line in one call
+        line = "  ".join(["%%-%ds" % w for w in widths])
         lines = [f"# {note}" for note in self.notes]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(self.headers, widths)))
-        # one left-justifying template pads a whole row in one call
-        line = "  ".join(f"%-{w}s" for w in widths[:len(columns)])
+        lines.append(line % tuple(self.headers))
         lines.extend(map(line.__mod__, zip(*columns)))
         return "\n".join(lines) + "\n"
 

@@ -284,7 +284,8 @@ def test_classical_oracle(record_criterion):
 
     # the resonant run and both detuned runs as one batch; each member is
     # bit for bit the run of its own
-    bases = [modes.mode_basis(u6, f * entry.alpha_res) for f in (1.0, 0.8, 1.2)]
+    bases = [modes.mode_basis(u6, f * entry.alpha_res)
+             for f in (1.0, 0.8, 1.2)]
     trajs = classical.integrate_batch(u6, bases,
                                       displacements={**pump, **seeds6},
                                       dt=2e-3, t_final=300.0, stride=10)

@@ -191,9 +191,9 @@ def test_matmul_pair_differences_match_indexed_force(pos, alphas):
     assert np.array_equal(got, _reference_force(pos, alphas[0]))
     stiff = np.stack([classical._stiffness(a) for a in alphas[:len(pos)]])
     ion_major = np.ascontiguousarray(np.moveaxis(pos, 1, 0))
-    acc = np.empty_like(ion_major)
-    classical._force_kernel(ion_major, acc, stiff)()
-    for member, alpha, acc in zip(pos, alphas, np.moveaxis(acc, 0, 1)):
+    out = np.empty_like(ion_major)
+    classical._force_kernel(ion_major, out, stiff)()
+    for member, alpha, acc in zip(pos, alphas, np.moveaxis(out, 0, 1)):
         assert np.array_equal(acc, _reference_force(member, alpha))
 
 
