@@ -42,7 +42,6 @@ from .quantum import (
     build_free_hamiltonian,
     build_full_interaction,
     build_rwa_interaction,
-    coupling_rate,
     down_conversion_states,
     entanglement_entropy,
     evolve,
@@ -103,7 +102,6 @@ __all__ = [
     "candidate_alpha",
     "check_identities",
     "classify",
-    "coupling_rate",
     "coupling_tensors",
     "critical_anisotropy",
     "delta",

@@ -205,16 +205,6 @@ def accelerations(positions: np.ndarray, alpha: float) -> np.ndarray:
     return np.moveaxis(acc, 0, -2)
 
 
-def potential_energy(positions: np.ndarray, alpha: float) -> np.ndarray:
-    """Trap plus Coulomb potential, shape (...,) over leading axes."""
-    pos = np.asarray(positions, dtype=float)
-    trap = 0.5 * np.sum(pos * pos * _stiffness(alpha), axis=(-2, -1))
-    _, r2 = _separations(pos, _pairs(pos.shape[-2])[1])
-    if np.any(r2 == 0.0):
-        raise ValueError("coincident ion positions")
-    return trap + np.sum(1.0 / np.sqrt(r2), axis=-1)
-
-
 def _potential_offset(pos: np.ndarray, ref: np.ndarray,
                       alpha: float) -> np.ndarray:
     """V(pos) - V(ref) evaluated without subtracting two large potentials.
@@ -378,7 +368,6 @@ class ModeProjection:
     """
 
     coordinates: dict[str, np.ndarray]
-    velocities: dict[str, np.ndarray]
     energies: dict[str, np.ndarray]
     total: np.ndarray
 
@@ -396,7 +385,6 @@ def mode_projection(trajectory: Trajectory, basis: ModeBasis,
         raise ValueError("trajectory, equilibrium and basis sizes disagree")
     v = basis.vectors
     coords: dict[str, np.ndarray] = {}
-    vels: dict[str, np.ndarray] = {}
     energies: dict[str, np.ndarray] = {}
     for direction, axis, eig in (("x", 0, basis.gamma),
                                  ("y", 1, basis.gamma),
@@ -407,11 +395,9 @@ def mode_projection(trajectory: Trajectory, basis: ModeBasis,
         q = disp @ v
         qdot = trajectory.velocities[:, :, axis] @ v
         coords[direction] = q
-        vels[direction] = qdot
         energies[direction] = 0.5 * (qdot * qdot + eig * q * q)
     total = sum(e.sum(axis=1) for e in energies.values())
-    return ModeProjection(coordinates=coords, velocities=vels,
-                          energies=energies, total=total)
+    return ModeProjection(coordinates=coords, energies=energies, total=total)
 
 
 def spectrum(series: np.ndarray, dt: float, n_peaks: int = 1) -> np.ndarray:

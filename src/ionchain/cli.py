@@ -353,7 +353,7 @@ def cmd_epsilon(args) -> int:
         chain = resonances_mod._solve_chain(args.n)
         entry = _find_entry(chain, m, n, p)
         coef = quantum_mod.rwa_coefficient(entry, chain.mu)
-        rate = quantum_mod.coupling_rate(eps, omega3, entry, chain.mu)
+        rate = eps * omega3 * coef
         headers += ["alpha_res", "rate_over_eps_omega3", "Gamma_over_2pi_hz"]
         row += [float(entry.alpha_res), float(coef),
                 float(rate / (2.0 * np.pi))]
@@ -371,15 +371,6 @@ def _config_get(cfg: dict, key: str, default, cast):
         return cast(cfg[key])
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: {exc}")
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def cmd_simulate(args) -> int:
@@ -476,6 +467,8 @@ def cmd_classical(args) -> int:
     displacements = _parse_mode_map(cfg.get("displacement", ""))
     velocities = _parse_mode_map(cfg.get("velocity", ""))
     detune = _config_get(cfg, "detune", 0.0, float)
+    if not detune >= 0.0:  # NaN fails this too
+        raise ValueError(f"config key 'detune' must be >= 0, got {detune:g}")
     res_text = cfg.get("resonance")
     chain = entry = None
     if res_text is not None:

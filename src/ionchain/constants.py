@@ -1,8 +1,6 @@
 """Physical constants (CODATA 2018) and the built-in ion mass registry.
 
-All quantities SI. The fine-structure constant is derived from e, eps0,
-hbar and c rather than pinned, so identities relating formulas that use
-alpha_fsc to formulas that use e^2/(4 pi eps0) hold to machine precision.
+All quantities SI.
 """
 
 import math
@@ -16,10 +14,6 @@ SPEED_OF_LIGHT = 299792458.0              # m/s, exact
 ATOMIC_MASS = 1.66053906660e-27           # kg
 
 COULOMB_CONSTANT = 1.0 / (4.0 * math.pi * VACUUM_PERMITTIVITY)  # N m^2 / C^2
-
-FINE_STRUCTURE = (
-    ELEMENTARY_CHARGE**2 * COULOMB_CONSTANT / (HBAR * SPEED_OF_LIGHT)
-)
 
 # Singly charged ions available by name; masses in atomic mass units.
 ION_MASS_U = {

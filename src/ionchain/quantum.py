@@ -56,7 +56,7 @@ from .equilibrium import IonSpecies, length_scale
 from .errors import NoResonantCouplingError
 from .modes import ModeBasis
 from .coupling import CouplingTensors
-from .resonances import ResonanceEntry, SECOND_KIND
+from .resonances import MATCH_TOL, ResonanceEntry, SECOND_KIND
 
 __all__ = [
     "FockBasis",
@@ -65,7 +65,6 @@ __all__ = [
     "nonlinearity_epsilon",
     "wavepacket_epsilon",
     "rwa_coefficient",
-    "coupling_rate",
     "resonance_mode_set",
     "down_conversion_states",
     "build_free_hamiltonian",
@@ -125,11 +124,6 @@ def rwa_coefficient(entry: ResonanceEntry, mu) -> float:
     gn = base - 0.5 * mu[entry.n - 1]
     mp = mu[entry.p - 1]
     return 6.0 * entry.coupling / (mp * gm * gn) ** 0.25
-
-
-def coupling_rate(eps: float, omega3: float, entry: ResonanceEntry, mu) -> float:
-    """Down-conversion rate Gamma = eps*omega3*6D/(mu_p g_m g_n)^(1/4), rad/s."""
-    return eps * omega3 * rwa_coefficient(entry, mu)
 
 
 # --- basis and states ---------------------------------------------------
@@ -300,33 +294,30 @@ class HamiltonianMatrix:
     no entry has an imaginary part, complex otherwise. Constructing from
     a dense `matrix` keeps its nonzero entries; `.matrix` gives a
     read-only dense copy, built on every request. `h_free + h_int` sums
-    two operators on one basis by concatenating their triplets; a sum
-    with the free operator keeps the other term's flavor.
+    two operators on one basis by concatenating their triplets.
     """
 
-    def __init__(self, matrix, flavor: str, basis: FockBasis):
+    def __init__(self, matrix, basis: FockBasis):
         mat = np.asarray(matrix)
         dim = basis.dimension
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match basis {dim}")
         rows, cols = np.nonzero(mat)
-        self._store(flavor, basis, rows, cols, mat[rows, cols])
+        self._store(basis, rows, cols, mat[rows, cols])
 
     @classmethod
-    def _from_triplets(cls, flavor, basis, rows, cols, values) -> "HamiltonianMatrix":
+    def _from_triplets(cls, basis, rows, cols, values) -> "HamiltonianMatrix":
         h = cls.__new__(cls)
-        h._store(flavor, basis, rows, cols, values)
+        h._store(basis, rows, cols, values)
         return h
 
-    def _store(self, flavor, basis, rows, cols, values):
+    def _store(self, basis, rows, cols, values):
         """Coalesce the triplets, check Hermiticity once, keep them.
 
         Repeated positions are summed in input order (so a sum of
         builders adds the same way a dense accumulation would); entries
         that sum to exactly zero are dropped.
         """
-        if flavor not in ("free", "full_interaction", "rwa_interaction"):
-            raise ValueError(f"unknown flavor {flavor!r}")
         dim = basis.dimension
         keys = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
         keys, inverse = np.unique(keys, return_inverse=True)
@@ -352,7 +343,6 @@ class HamiltonianMatrix:
 
         for array in (rows, cols, summed):
             array.flags.writeable = False
-        self.flavor = flavor
         self.basis = basis
         self._rows, self._cols, self._values = rows, cols, summed
         self._diagonalized = {}
@@ -362,13 +352,8 @@ class HamiltonianMatrix:
             return NotImplemented
         if other.basis != self.basis:
             raise ValueError("cannot add Hamiltonians on different bases")
-        flavors = {self.flavor, other.flavor} - {"free"}
-        if len(flavors) > 1:
-            raise ValueError(
-                f"cannot add a {self.flavor} and a {other.flavor} Hamiltonian")
         return HamiltonianMatrix._from_triplets(
-            flavors.pop() if flavors else "free", self.basis,
-            np.concatenate([self._rows, other._rows]),
+            self.basis, np.concatenate([self._rows, other._rows]),
             np.concatenate([self._cols, other._cols]),
             np.concatenate([self._values, other._values]))
 
@@ -484,7 +469,7 @@ def build_free_hamiltonian(basis: FockBasis, mode_basis: ModeBasis) -> Hamiltoni
     freqs = np.array([_mode_frequency(m, mode_basis) for m in basis.modes])
     index = np.arange(basis.dimension)
     occ = np.stack(np.unravel_index(index, basis.shape), axis=1)
-    return HamiltonianMatrix._from_triplets("free", basis, index, index, occ @ freqs)
+    return HamiltonianMatrix._from_triplets(basis, index, index, occ @ freqs)
 
 
 def _cubic_triples(basis: FockBasis, mode_basis: ModeBasis, tensors: CouplingTensors, eps: float):
@@ -593,7 +578,7 @@ def build_full_interaction(
     """
     _check_transverse_mirror(basis)
     triplets, _kept = _cubic_interaction(basis, mode_basis, tensors, eps, None)
-    return HamiltonianMatrix._from_triplets("full_interaction", basis, *triplets)
+    return HamiltonianMatrix._from_triplets(basis, *triplets)
 
 
 def build_rwa_interaction(
@@ -602,15 +587,15 @@ def build_rwa_interaction(
     tensors: CouplingTensors,
     eps: float,
     resonance: ResonanceEntry | None = None,
-    cutoff: float = 1e-9,
 ) -> HamiltonianMatrix:
     """Rotating-wave reduction: keep only phase-matched cubic monomials.
 
     Each position factor splits into lowering (interaction-picture phase
     -freq) and raising (+freq) parts; a monomial survives if its summed
-    phase has magnitude <= cutoff. At a catalog resonance this keeps
-    exactly the down-conversion terms (plus adjoints); everywhere else
-    nothing survives and NoResonantCouplingError is raised.
+    phase, which is a catalog delta+-, has magnitude <= MATCH_TOL, the
+    tolerance the catalog uses. At a catalog resonance this keeps exactly
+    the down-conversion terms (plus adjoints); everywhere else nothing
+    survives and NoResonantCouplingError is raised.
 
     If a target resonance entry is passed, its axial and both transverse
     mode pairs must be active, and the mode basis must actually be at the
@@ -625,13 +610,13 @@ def build_rwa_interaction(
                 f"resonance ({resonance.m},{resonance.n},{resonance.p}) needs "
                 f"active modes {missing}"
             )
-    triplets, kept = _cubic_interaction(basis, mode_basis, tensors, eps, cutoff)
+    triplets, kept = _cubic_interaction(basis, mode_basis, tensors, eps, MATCH_TOL)
     if kept == 0:
         raise NoResonantCouplingError(
             f"no resonant coupling: no cubic monomial is phase-matched to "
-            f"{cutoff:.1e} at alpha = {mode_basis.alpha:.6g}"
+            f"{MATCH_TOL:.1e} at alpha = {mode_basis.alpha:.6g}"
         )
-    return HamiltonianMatrix._from_triplets("rwa_interaction", basis, *triplets)
+    return HamiltonianMatrix._from_triplets(basis, *triplets)
 
 
 def resonance_mode_set(entry: ResonanceEntry) -> tuple:

@@ -226,8 +226,7 @@ def test_full_hamiltonian_tracks_reduced_model(record_criterion):
     h_int = quantum.build_full_interaction(fock, basis, tensors, eps)
     # counter-rotating terms only average out against free evolution, so
     # the unreduced run must propagate the complete generator
-    h_full = quantum.HamiltonianMatrix(matrix=h_free.matrix + h_int.matrix,
-                                       flavor="full_interaction", basis=fock)
+    h_full = h_free + h_int
     occupations = quantum.down_conversion_states(fock, entry)
     start = fock.number_state(occupations[0])
     states = {"rwa": quantum.QuantumState(basis=fock, amplitudes=start),

@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "candidate_alpha",
     "check_identities",
     "classify",
-    "coupling_rate",
     "coupling_tensors",
     "critical_anisotropy",
     "delta",
@@ -60,7 +59,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 51
     assert sorted(ionchain.__all__) == PUBLIC_NAMES
 
 

@@ -62,15 +62,6 @@ def test_coincident_positions_rejected():
     pos = np.array([[0.0, 0.0, 0.1], [0.0, 0.0, 0.1]])
     with pytest.raises(ValueError, match="coincident"):
         classical.accelerations(pos, 0.5)
-    with pytest.raises(ValueError, match="coincident"):
-        classical.potential_energy(pos, 0.5)
-
-
-def test_potential_energy_closed_form_two_ions():
-    d = 2.0 ** (-2.0 / 3.0)
-    pos = np.array([[0.0, 0.0, -d], [0.0, 0.0, d]])
-    v = classical.potential_energy(pos, 0.5)
-    assert abs(v - 3.0 * 2.0 ** (-4.0 / 3.0)) < 1e-14
 
 
 # Reference implementations the pair kernel replaced: the full (n, n)

@@ -201,6 +201,10 @@ def test_classical_config_needs_anisotropy(tmp_path, capsys):
      "'detune' needs a 'resonance' key"),
     ("n = 6\nresonance = 6,5,5\ndetune = 1\n",
      "'detune' must be below 1, got 1"),
+    ("n = 3\nresonance = 3,2,3\ndetune = -0.2\n",
+     "'detune' must be >= 0, got -0.2"),
+    ("n = 3\nresonance = 3,2,3\ndetune = nan\n",
+     "'detune' must be >= 0, got nan"),
 ])
 def test_classical_detune_fails_before_integration(tmp_path, capsys,
                                                    monkeypatch, config,

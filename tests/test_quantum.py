@@ -202,7 +202,7 @@ def test_builders_match_dense_reference(six_ion_resonance, cutoff):
         full.matrix - _reference_interaction(fock, basis, tensors, eps))) <= 1e-15
     assert np.max(np.abs(
         rwa.matrix - _reference_interaction(fock, basis, tensors, eps,
-                                            phase_cutoff=1e-9))) <= 1e-15
+                                            phase_cutoff=resonances.MATCH_TOL))) <= 1e-15
 
 
 def _dense_evolve(state, h, duration):
@@ -215,8 +215,7 @@ def test_sectored_evolve_matches_whole_matrix_eigh(six_ion_resonance):
     eps = 7.09e-4
     h0 = quantum.build_free_hamiltonian(fock, basis)
     h_int = quantum.build_full_interaction(fock, basis, tensors, eps)
-    h = quantum.HamiltonianMatrix(matrix=h0.matrix + h_int.matrix,
-                                  flavor="full_interaction", basis=fock)
+    h = h0 + h_int
     rng = np.random.default_rng(7)
     psi, _, _ = quantum.down_conversion_states(fock, entry)
     spread = rng.normal(size=fock.dimension) + 1j * rng.normal(size=fock.dimension)
@@ -271,7 +270,7 @@ def test_sectored_evolve_on_planted_blocks():
     labels[0] = 3
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = (mat + mat.conj().T) * (labels[:, None] == labels[None, :])
-    h = quantum.HamiltonianMatrix(matrix=mat, flavor="free", basis=fock)
+    h = quantum.HamiltonianMatrix(matrix=mat, basis=fock)
     order, starts = h._blocks
     blocks = [h._eigensystem(b) for b in range(len(starts))]
     assert sorted(len(idx) for idx, _w, _v in blocks) == sorted(
@@ -306,8 +305,7 @@ def test_full_generator_splits_into_parity_sectors(six_ion_resonance):
     _, _, basis, tensors, fock = six_ion_resonance
     h0 = quantum.build_free_hamiltonian(fock, basis)
     h_int = quantum.build_full_interaction(fock, basis, tensors, 7.09e-4)
-    h = quantum.HamiltonianMatrix(matrix=h0.matrix + h_int.matrix,
-                                  flavor="full_interaction", basis=fock)
+    h = h0 + h_int
     order, starts = h._blocks
     blocks = [(idx, None, None) for idx in np.split(order, starts[1:])]
     assert len(blocks) == 4
@@ -353,7 +351,6 @@ def test_triplets_are_real_coalesced_and_sum_exactly(six_ion_resonance,
         np.add.at(dense, (h._rows, h._cols), h._values)
         assert np.array_equal(dense, h.matrix)
     total = h_free + h_int
-    assert total.flavor == "full_interaction"
     assert np.array_equal(total.matrix, h_free.matrix + h_int.matrix)
     assert not total.matrix.flags.writeable
 
@@ -364,11 +361,11 @@ def test_dense_constructor_stores_real_triplets(six_ion_resonance):
     mat = np.zeros((dim, dim), dtype=complex)
     mat[0, 1] = mat[1, 0] = 0.5
     mat[2, 2] = 1.0
-    h = quantum.HamiltonianMatrix(matrix=mat, flavor="free", basis=fock)
+    h = quantum.HamiltonianMatrix(matrix=mat, basis=fock)
     assert h._values.dtype == np.float64
     assert np.array_equal(h.matrix, mat.real)
     mat[0, 1], mat[1, 0] = 0.5j, -0.5j
-    h = quantum.HamiltonianMatrix(matrix=mat, flavor="free", basis=fock)
+    h = quantum.HamiltonianMatrix(matrix=mat, basis=fock)
     assert np.iscomplexobj(h._values)
     assert np.array_equal(h.matrix, mat)
 
@@ -376,35 +373,29 @@ def test_dense_constructor_stores_real_triplets(six_ion_resonance):
 def test_triplet_check_rejects_missing_adjoint(six_ion_resonance):
     entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, 2)
     (rows, cols, values), _kept = quantum._cubic_interaction(
-        fock, basis, tensors, 7.09e-4, 1e-9)
+        fock, basis, tensors, 7.09e-4, resonances.MATCH_TOL)
     # the kept monomials come in adjoint pairs; one half alone is rejected
     upper = rows < cols
     with pytest.raises(ValueError, match="Hermitian"):
         quantum.HamiltonianMatrix._from_triplets(
-            "rwa_interaction", fock, rows[upper], cols[upper], values[upper])
+            fock, rows[upper], cols[upper], values[upper])
     quantum.HamiltonianMatrix._from_triplets(
-        "rwa_interaction", fock, rows, cols, values)
+        fock, rows, cols, values)
     # an entry without its adjoint passes only below 1e-12 of the scale
     one = np.array([0]), np.array([1])
-    quantum.HamiltonianMatrix._from_triplets("free", fock, *one, [1e-13])
+    quantum.HamiltonianMatrix._from_triplets(fock, *one, [1e-13])
     with pytest.raises(ValueError, match="Hermitian"):
-        quantum.HamiltonianMatrix._from_triplets("free", fock, *one, [1e-11])
+        quantum.HamiltonianMatrix._from_triplets(fock, *one, [1e-11])
     with pytest.raises(ValueError, match="Hermitian"):
-        quantum.HamiltonianMatrix._from_triplets("free", fock, *one, [np.nan])
+        quantum.HamiltonianMatrix._from_triplets(fock, *one, [np.nan])
 
 
-def test_sum_requires_one_basis_and_compatible_flavors(six_ion_resonance):
-    entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, 2)
-    h_rwa = quantum.build_rwa_interaction(fock, basis, tensors, 7e-4,
-                                          resonance=entry)
+def test_sum_requires_one_basis(six_ion_resonance):
+    _, basis, tensors, fock = _six_ion_fock(six_ion_resonance, 2)
     h_full = quantum.build_full_interaction(fock, basis, tensors, 7e-4)
     other = quantum.FockBasis.uniform(fock.modes, 1)
-    with pytest.raises(ValueError, match="cannot add a"):
-        h_rwa + h_full
     with pytest.raises(ValueError, match="different bases"):
         h_full + quantum.build_free_hamiltonian(other, basis)
-    assert (quantum.build_free_hamiltonian(fock, basis)
-            + h_rwa).flavor == "rwa_interaction"
 
 
 def _whole_matrix_samples(h, amps, taus):
@@ -433,7 +424,7 @@ def test_propagate_on_planted_complex_blocks():
     labels = rng.permutation(np.arange(dim) % 4)
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = (mat + mat.conj().T) * (labels[:, None] == labels[None, :])
-    h = quantum.HamiltonianMatrix(matrix=mat, flavor="free", basis=fock)
+    h = quantum.HamiltonianMatrix(matrix=mat, basis=fock)
     assert np.iscomplexobj(h._values)
     taus = np.linspace(0.0, 2.0, 7)
     spread = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -550,7 +541,7 @@ def test_hamiltonian_rejects_non_hermitian(six_ion_resonance):
     bad = np.zeros((fock.dimension, fock.dimension), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):
-        quantum.HamiltonianMatrix(matrix=bad, flavor="free", basis=fock)
+        quantum.HamiltonianMatrix(matrix=bad, basis=fock)
 
 
 # --- dynamics -----------------------------------------------------------
@@ -560,8 +551,7 @@ def test_evolution_conserves_norm_and_energy(six_ion_resonance):
     eps = 7.09e-4
     h0 = quantum.build_free_hamiltonian(fock, basis)
     h_int = quantum.build_full_interaction(fock, basis, tensors, eps)
-    h = quantum.HamiltonianMatrix(matrix=h0.matrix + h_int.matrix,
-                                  flavor="full_interaction", basis=fock)
+    h = h0 + h_int
     psi, _, _ = quantum.down_conversion_states(fock, entry)
     state = quantum.QuantumState(basis=fock,
                                  amplitudes=fock.number_state(psi))
