@@ -283,7 +283,7 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
         raise ValueError("bases must hold at least one mode basis")
     if any(u.size != basis.mu.size for basis in bases):
         raise ValueError("equilibrium and mode basis sizes disagree")
-    if dt <= 0.0 or t_final <= 0.0:
+    if not (dt > 0.0 and t_final > 0.0):
         raise ValueError("dt and t_final must be positive")
     if stride < 1:
         raise ValueError("stride must be at least 1")

@@ -50,17 +50,34 @@ def _fmt(value, precision: int) -> str:
 _PLAIN_FLOATS = frozenset((float, np.float64))
 
 
-def _format_columns(rows: list, precision: int) -> list[list[str]]:
-    """The cells of `rows` as `_fmt` formats them, one list per column.
+def _json_cell(value, precision: int):
+    """A cell as JSON holds it: floats rounded through `_fmt`, ints exact."""
+    if isinstance(value, (float, np.floating)):
+        return float(_fmt(value, precision))
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return value
+
+
+def _format_columns(rows: list, precision: int, cell=_fmt,
+                    parse=None) -> list[list]:
+    """The cells of `rows` as `cell` formats them, one list per column.
 
     A column of plain floats, the common case, is formatted by one
-    C-level call per cell; any other column goes through `_fmt`.
+    C-level call per cell, as `_fmt` does, and then passed through
+    `parse` if one is given; any other column goes through `cell`.
     """
     spec = f"%.{precision}g".__mod__
     plain = _PLAIN_FLOATS.issuperset
-    return [list(map(spec, column)) if plain(map(type, column))
-            else list(map(_fmt, column, itertools.repeat(precision)))
-            for column in zip(*rows)]
+    columns = []
+    for column in zip(*rows):
+        if plain(map(type, column)):
+            cells = map(spec, column)
+            columns.append(list(map(parse, cells) if parse else cells))
+        else:
+            columns.append(list(map(cell, column,
+                                    itertools.repeat(precision))))
+    return columns
 
 
 class Artifact:
@@ -96,17 +113,8 @@ class Artifact:
         return buf.getvalue()
 
     def as_json(self, precision: int) -> str:
-        records = []
-        for row in self.rows:
-            rec = {}
-            for key, value in zip(self.headers, row):
-                if isinstance(value, (float, np.floating)):
-                    rec[key] = float(_fmt(value, precision))
-                elif isinstance(value, (int, np.integer)):
-                    rec[key] = int(value)
-                else:
-                    rec[key] = value
-            records.append(rec)
+        columns = _format_columns(self.rows, precision, _json_cell, float)
+        records = [dict(zip(self.headers, row)) for row in zip(*columns)]
         return json.dumps({"name": self.name, "rows": records}, indent=2) + "\n"
 
 
@@ -467,7 +475,11 @@ def cmd_classical(args) -> int:
     displacements = _parse_mode_map(cfg.get("displacement", ""))
     velocities = _parse_mode_map(cfg.get("velocity", ""))
     detune = _config_get(cfg, "detune", 0.0, float)
-    if not detune >= 0.0:  # NaN fails this too
+    # NaN fails these comparisons too
+    for key, value in (("dt", dt), ("t_final", t_final)):
+        if not value > 0.0:
+            raise ValueError(f"config key '{key}' must be > 0, got {value:g}")
+    if not detune >= 0.0:
         raise ValueError(f"config key 'detune' must be >= 0, got {detune:g}")
     res_text = cfg.get("resonance")
     chain = entry = None

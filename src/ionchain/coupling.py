@@ -7,6 +7,15 @@ that controls phonon-phonon processes. Exact structure used as checks
 elsewhere: C sums to zero over any one index, D vanishes whenever the
 centre-of-mass mode is involved, and D with one stretch-mode index is
 diagonal, D_mn2 = (1 - mu_m) delta_mn / (2 norm), norm = sqrt(sum u^2).
+
+Mirror rule: reflecting the chain about its centre sends ion l to ion
+N + 1 - l and flips every displacement. The cubic ion tensor is odd
+under it, and every mode vector is even or odd, v[::-1] = s v with
+parity s = +1 or -1. So D_mnp = -s_m s_n s_p D_mnp: it vanishes exactly
+unless an odd number of m, n, p are antisymmetric modes. The contraction
+leaves those zeros as rounding noise; `coupling_tensors` sets them to
+exactly 0.0, so the quantum generator splits along mirror parity and the
+catalog's coupling floor never sees them.
 """
 
 from dataclasses import dataclass
@@ -24,6 +33,14 @@ __all__ = [
     "coupling_tensors",
     "check_identities",
 ]
+
+# A mode vector further than this from v[::-1] = +-v (largest entry of
+# the difference) has no mirror parity; N = 2..32 stay below 1.1e-14.
+MIRROR_TOL = 1e-8
+
+# The order optimize=True picks for every N from 2 to 32: contract one
+# eigenvector at a time. Fixing it skips einsum's per-call path search.
+_CONTRACTION_PATH = ["einsum_path", (0, 1), (0, 2), (0, 1)]
 
 
 def ion_tensor(u: np.ndarray) -> np.ndarray:
@@ -65,11 +82,36 @@ def ion_tensor(u: np.ndarray) -> np.ndarray:
 def mode_tensor(ion: np.ndarray, basis: modes_mod.ModeBasis) -> np.ndarray:
     """Contract the ion tensor with three eigenvectors: mode-space D.
 
-    optimize=True contracts one eigenvector at a time, O(N^4) instead of
-    the O(N^6) of the single nested sum; the result agrees to rounding.
+    One eigenvector at a time, O(N^4) instead of the O(N^6) of the single
+    nested sum; the result agrees to rounding. Symmetry-forbidden entries
+    come out as rounding noise here; `coupling_tensors` zeroes them.
     """
     v = basis.vectors
-    return np.einsum("lmn,lp,mq,nr->pqr", ion, v, v, v, optimize=True)
+    return np.einsum("lmn,lp,mq,nr->pqr", ion, v, v, v,
+                     optimize=_CONTRACTION_PATH)
+
+
+def _mirror_parity(vectors: np.ndarray) -> np.ndarray:
+    """Parity s_p = sign(v_p[::-1] . v_p) of each mode vector, as +-1.
+
+    Raises IonChainError if v_p[::-1] differs from s_p v_p by more than
+    MIRROR_TOL in any entry.
+    """
+    parity = np.sign(np.einsum("ip,ip->p", vectors[::-1], vectors))
+    residual = np.max(np.abs(vectors[::-1] - parity * vectors), axis=0)
+    bad = np.flatnonzero(~(residual <= MIRROR_TOL))
+    if bad.size:
+        p = int(bad[0])
+        raise IonChainError(
+            f"mode {p + 1} is not mirror-symmetric: |v[::-1] - s v| = "
+            f"{residual[p]:.1e} > {MIRROR_TOL:.0e}"
+        )
+    return parity.astype(np.int8)
+
+
+def _forbidden(parity: np.ndarray) -> np.ndarray:
+    """Mask of the (m, n, p) with s_m s_n s_p = +1, where D vanishes."""
+    return np.multiply.outer(np.multiply.outer(parity, parity), parity) > 0
 
 
 @dataclass(frozen=True)
@@ -78,15 +120,19 @@ class CouplingTensors:
 
     stretch_norm is the normalization sqrt(sum_n u_n^2) of the stretch
     eigenvector u/norm; it sets the scale of the diagonal stretch rule.
+    parity[p] is the mirror parity (+1 or -1) of mode p; mode[m, n, p] is
+    exactly 0.0 wherever parity[m] * parity[n] * parity[p] = +1, and
+    bit-equal to `mode_tensor` elsewhere.
     """
 
     ion: np.ndarray
     mode: np.ndarray
     stretch_norm: float
+    parity: np.ndarray
 
     def __post_init__(self):
-        for name in ("ion", "mode"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name, dtype in (("ion", float), ("mode", float), ("parity", np.int8)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -96,13 +142,21 @@ class CouplingTensors:
 
 
 def coupling_tensors(u: np.ndarray, basis: modes_mod.ModeBasis) -> CouplingTensors:
-    """Build both tensors for a solved chain and its mode basis."""
+    """Build both tensors for a solved chain and its mode basis.
+
+    The mirror-forbidden entries of the mode tensor are set to exactly
+    0.0. Raises IonChainError if a mode vector has no mirror parity.
+    """
     u = np.asarray(u, dtype=float)
+    parity = _mirror_parity(basis.vectors)
     ion = ion_tensor(u)
+    mode = mode_tensor(ion, basis)
+    mode[_forbidden(parity)] = 0.0
     return CouplingTensors(
         ion=ion,
-        mode=mode_tensor(ion, basis),
+        mode=mode,
         stretch_norm=float(np.sqrt(np.sum(u**2))),
+        parity=parity,
     )
 
 
@@ -114,12 +168,15 @@ class IdentityReport:
     com_decoupling     max_mn |D_mn1|
     position_weighted  max_mn |sum_p u_p C_mnp - (delta_mn - A_mn)/2|
     stretch_diagonal   max_mn |D_mn2 - (1 - mu_m) delta_mn / (2 norm)|
+    mirror_parity      max |D_mnp| of the unmasked contraction over the
+                       entries with s_m s_n s_p = +1
     """
 
     index_sum: float
     com_decoupling: float
     position_weighted: float
     stretch_diagonal: float
+    mirror_parity: float
 
     def max_violation(self) -> float:
         return max(
@@ -127,6 +184,7 @@ class IdentityReport:
             self.com_decoupling,
             self.position_weighted,
             self.stretch_diagonal,
+            self.mirror_parity,
         )
 
 
@@ -136,7 +194,9 @@ def check_identities(
     """Evaluate the exact identities; all entries should be ~1e-12 or below.
 
     The position-weighted rule is checked against an independently built
-    axial matrix, tying the cubic tensor back to the quadratic form.
+    axial matrix, tying the cubic tensor back to the quadratic form. The
+    mirror rule is checked on a fresh, unmasked contraction, so it tests
+    the symmetry rather than the mask.
     """
     u = np.asarray(u, dtype=float)
     c, d = tensors.ion, tensors.mode
@@ -156,9 +216,13 @@ def check_identities(
     else:
         stretch_diagonal = 0.0
 
+    unmasked = mode_tensor(c, basis)
+    mirror_parity = float(np.max(np.abs(unmasked[_forbidden(tensors.parity)])))
+
     return IdentityReport(
         index_sum=index_sum,
         com_decoupling=com_decoupling,
         position_weighted=position_weighted,
         stretch_diagonal=stretch_diagonal,
+        mirror_parity=mirror_parity,
     )

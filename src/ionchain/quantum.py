@@ -34,15 +34,16 @@ with amplitude in it asks for it, and the result is kept; blocks where
 the state has no amplitude are skipped exactly. All samples of a run
 come from one product V @ (exp(-i w tau_k) * c) per live block. The
 blocks are the conserved sectors: the full cubic generator keeps the
-parities of total x and of total y occupation (4 blocks), and at a
-second-kind resonance the rotating-wave matrix couples |z_p = 1> only to
-the x-pair and y-pair states (a 3-state block at any cutoff). So a run
-from |z_p = 1> diagonalizes one parity sector of the full generator and
-the 3-state block of the rotating-wave one. On one x86-64 core a
-`simulate` run with mode = both and 201 samples takes about 0.07 s at
-cutoff 3 (dimension 1024), 0.3 s at cutoff 4 (3125) and 17 s at
-cutoff 6 (16807, 0.8 GB peak memory, nearly all of it the eigh of the
-4375-state live sector).
+parities of total x and of total y occupation and the mirror parity (8
+blocks, since the mirror-forbidden couplings are exact zeros, see
+`coupling`), and at a second-kind resonance the rotating-wave matrix
+couples |z_p = 1> only to the x-pair and y-pair states (a 3-state block
+at any cutoff). So a run from |z_p = 1> diagonalizes one parity sector
+of the full generator and the 3-state block of the rotating-wave one.
+On one x86-64 core a `simulate` run with mode = both and 201 samples
+takes about 0.06 s at cutoff 3 (dimension 1024), 0.17 s at cutoff 4
+(3125) and 2.7 s at cutoff 6 (16807, 0.24 GB peak memory, most of it
+the eigh of the 2163-state live sector).
 """
 
 from dataclasses import dataclass

@@ -46,7 +46,8 @@ SECOND_KIND = "second"
 
 # |delta| below this at the candidate alpha counts as an exact resonance.
 MATCH_TOL = 1e-9
-# Couplings at or below this are treated as zero (symmetry-forbidden).
+# Couplings at or below this are treated as zero. Mirror-forbidden ones
+# are exactly 0.0 already (coupling.coupling_tensors).
 COUPLING_FLOOR = 1e-12
 # Solved chains one process keeps, least recently used first out.
 _CHAIN_MEMO_SIZE = 16

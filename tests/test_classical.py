@@ -323,6 +323,10 @@ def test_integrate_batch_argument_validation(two_ion_setup, chains):
     other = modes.mode_basis(chains[3], 0.1)
     with pytest.raises(ValueError, match="sizes disagree"):
         classical.integrate_batch(u, [basis, other])
+    for dt, t_final in ((0.0, 1.0), (1e-3, -1.0), (np.nan, 1.0),
+                        (1e-3, np.nan)):
+        with pytest.raises(ValueError, match="must be positive"):
+            classical.integrate_batch(u, [basis], dt=dt, t_final=t_final)
 
 
 def test_energy_conservation(two_ion_setup):

@@ -209,6 +209,23 @@ def test_classical_config_needs_anisotropy(tmp_path, capsys):
 def test_classical_detune_fails_before_integration(tmp_path, capsys,
                                                    monkeypatch, config,
                                                    message):
+    _assert_fails_before_integration(tmp_path, capsys, monkeypatch, config,
+                                     message)
+
+
+@pytest.mark.parametrize("key", ["dt", "t_final"])
+@pytest.mark.parametrize("value", ["0", "-1e-3", "nan"])
+def test_classical_time_grid_fails_before_integration(tmp_path, capsys,
+                                                      monkeypatch, key,
+                                                      value):
+    _assert_fails_before_integration(
+        tmp_path, capsys, monkeypatch,
+        f"n = 2\nalpha = 0.5\n{key} = {value}\n",
+        f"config key '{key}' must be > 0, got {float(value):g}")
+
+
+def _assert_fails_before_integration(tmp_path, capsys, monkeypatch, config,
+                                     message):
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated before the config was checked")
 
@@ -261,6 +278,21 @@ def _reference_csv(headers, rows, precision):
     return buf.getvalue()
 
 
+def _reference_json(name, headers, rows, precision):
+    records = []
+    for row in rows:
+        rec = {}
+        for key, value in zip(headers, row):
+            if isinstance(value, (float, np.floating)):
+                rec[key] = float(_reference_cell(value, precision))
+            elif isinstance(value, (int, np.integer)):
+                rec[key] = int(value)
+            else:
+                rec[key] = value
+        records.append(rec)
+    return json.dumps({"name": name, "rows": records}, indent=2) + "\n"
+
+
 _CELL_KINDS = [
     st.text(max_size=6),
     st.integers(-10**20, 10**20),
@@ -300,6 +332,19 @@ def test_column_formatter_matches_row_reference(table, precision):
     assert art.as_text(precision) == _reference_text(headers, rows, notes,
                                                      precision)
     assert art.as_csv(precision) == _reference_csv(headers, rows, precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables(), precision=st.sampled_from([1, 6, 17]))
+@example(table=(["name", "count", "value", "mixed"],
+                [("a", 1, 0.1, 2), ("b", np.int64(-3), np.float64(1e-300),
+                                    "x"),
+                 ("c", 10**20, float("nan"), 0.25)], []), precision=17)
+def test_json_columns_match_cell_reference(table, precision):
+    headers, rows, _notes = table
+    art = cli.Artifact("t", headers, rows)
+    assert art.as_json(precision) == _reference_json("t", headers, rows,
+                                                     precision)
 
 
 # --- file output, manifests, determinism --------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionchain import coupling, equilibrium, modes
+from ionchain import coupling, equilibrium, modes, resonances
 from ionchain.errors import IonChainError
 
 
@@ -91,6 +91,8 @@ def test_tensors_are_read_only():
         t.ion[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         t.mode[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        t.parity[0] = -1
 
 
 @settings(max_examples=12, deadline=None)
@@ -100,3 +102,53 @@ def test_mode_tensor_matches_plain_contraction(n):
     v = basis.vectors
     plain = np.einsum("lmn,lp,mq,nr->pqr", t.ion, v, v, v)
     assert np.max(np.abs(t.mode - plain)) <= 1e-12 * np.max(np.abs(plain))
+
+
+def test_mode_tensor_path_is_the_optimized_one():
+    # the fixed contraction order is the one optimize=True searches out
+    for n in range(2, 33):
+        u, basis, t = tensors_for(n)
+        v = basis.vectors
+        searched = np.einsum("lmn,lp,mq,nr->pqr", t.ion, v, v, v,
+                             optimize=True)
+        assert np.array_equal(coupling.mode_tensor(t.ion, basis), searched)
+
+
+def test_mirror_forbidden_couplings_are_exact_zeros():
+    for n in range(2, 33):
+        u, basis, t = tensors_for(n)
+        v = basis.vectors
+        # centre of mass symmetric, stretch antisymmetric, and so on
+        assert t.parity.tolist() == [(-1) ** k for k in range(n)]
+        assert np.max(np.abs(v[::-1] * t.parity - v)) <= coupling.MIRROR_TOL
+        unmasked = coupling.mode_tensor(t.ion, basis)
+        s = t.parity
+        product = s[:, None, None] * s[None, :, None] * s[None, None, :]
+        assert np.all(t.mode[product > 0] == 0.0)
+        assert np.array_equal(t.mode[product < 0], unmasked[product < 0])
+        for e in resonances.build_catalog(n, n_cap=n):
+            assert s[e.m - 1] * s[e.n - 1] * s[e.p - 1] == -1
+
+
+def test_basis_without_mirror_parity_raises():
+    u, basis, _ = tensors_for(4)
+    v = basis.vectors.copy()
+    # a rotation between a symmetric and an antisymmetric mode keeps the
+    # basis orthonormal but leaves both vectors without a parity
+    v[:, [1, 2]] = (v[:, [1, 2]] @ np.array([[1.0, -1.0], [1.0, 1.0]])
+                    / np.sqrt(2.0))
+    mixed = modes.ModeBasis(mu=basis.mu, gamma=basis.gamma, vectors=v,
+                            alpha=basis.alpha)
+    with pytest.raises(IonChainError, match="mode 2 is not mirror-symmetric"):
+        coupling.coupling_tensors(u, mixed)
+
+
+def test_identity_report_sees_unmasked_mirror_noise():
+    u, basis, t = tensors_for(6)
+    report = coupling.check_identities(t, basis, u)
+    # the masked tensor has exact zeros; the check looks past the mask
+    s = t.parity
+    forbidden = s[:, None, None] * s[None, :, None] * s[None, None, :] > 0
+    noise = np.max(np.abs(coupling.mode_tensor(t.ion, basis)[forbidden]))
+    assert report.mirror_parity == noise < 1e-12
+    assert report.max_violation() >= report.mirror_parity

@@ -301,25 +301,35 @@ def test_rwa_pump_block_is_the_three_state_problem(six_ion_resonance, cutoff):
     assert sorted(block) == sorted(fock.index_of(s) for s in states)
 
 
+def _sector_parities(fock, tensors, order, starts):
+    """(total x, total y, mirror) parity of each block; one per block."""
+    occ = np.stack(np.unravel_index(np.arange(fock.dimension), fock.shape),
+                   axis=1)
+    x_axes = [k for k, (d, _i) in enumerate(fock.modes) if d == "x"]
+    y_axes = [k for k, (d, _i) in enumerate(fock.modes) if d == "y"]
+    # the reflection flips axial displacements, not transverse ones: an
+    # axial phonon is mirror-odd on a symmetric vector, a transverse one
+    # on an antisymmetric vector
+    odd_axes = [k for k, (d, i) in enumerate(fock.modes)
+                if (tensors.parity[i - 1] > 0) == (d == "z")]
+    labels = np.stack([occ[:, axes].sum(axis=1) % 2
+                       for axes in (x_axes, y_axes, odd_axes)], axis=1)
+    parities = []
+    for idx in np.split(order, starts[1:]):
+        assert len(np.unique(labels[idx], axis=0)) == 1
+        parities.append(tuple(labels[idx[0]]))
+    return parities
+
+
 def test_full_generator_splits_into_parity_sectors(six_ion_resonance):
     _, _, basis, tensors, fock = six_ion_resonance
     h0 = quantum.build_free_hamiltonian(fock, basis)
     h_int = quantum.build_full_interaction(fock, basis, tensors, 7.09e-4)
     h = h0 + h_int
     order, starts = h._blocks
-    blocks = [(idx, None, None) for idx in np.split(order, starts[1:])]
-    assert len(blocks) == 4
-    occ = np.stack(np.unravel_index(np.arange(fock.dimension), fock.shape),
-                   axis=1)
-    x_axes = [k for k, (d, _i) in enumerate(fock.modes) if d == "x"]
-    y_axes = [k for k, (d, _i) in enumerate(fock.modes) if d == "y"]
-    parities = set()
-    for idx, _w, _v in blocks:
-        x_par = occ[idx][:, x_axes].sum(axis=1) % 2
-        y_par = occ[idx][:, y_axes].sum(axis=1) % 2
-        assert len(set(x_par)) == 1 and len(set(y_par)) == 1
-        parities.add((x_par[0], y_par[0]))
-    assert len(parities) == 4
+    assert len(starts) == 8
+    parities = _sector_parities(fock, tensors, order, starts)
+    assert len(set(parities)) == 8
 
 
 # --- block-native engine: triplets, lazy blocks, batched samples ---------
@@ -454,7 +464,9 @@ def test_only_the_live_block_is_diagonalized(six_ion_resonance, cutoff):
     psi, _, _ = quantum.down_conversion_states(fock, entry)
     pump = fock.index_of(psi)
     quantum._propagate(h, fock.number_state(psi), [0.0, 1.0, 2.0])
-    assert len(h._blocks[1]) == 4
+    assert len(h._blocks[1]) == 8
+    _, _, tensors, _ = _six_ion_fock(six_ion_resonance, cutoff)
+    assert len(set(_sector_parities(fock, tensors, *h._blocks))) == 8
     ((b, (idx, _w, v)),) = h._diagonalized.items()
     assert pump in idx and v.dtype == np.float64
     # a second run from the same sector reuses the kept eigensystem
