@@ -113,9 +113,27 @@ class Artifact:
         return buf.getvalue()
 
     def as_json(self, precision: int) -> str:
-        columns = _format_columns(self.rows, precision, _json_cell, float)
-        records = [dict(zip(self.headers, row)) for row in zip(*columns)]
-        return json.dumps({"name": self.name, "rows": records}, indent=2) + "\n"
+        """The bytes of json.dumps({"name", "rows": records}, indent=2).
+
+        With an indent, json falls back to its pure-Python encoder, so
+        the cells are encoded without one, one C-level call per column,
+        and the fixed two-level layout is filled in by one record
+        template. A record keeps each header's first position and its
+        last cell, as dict(zip(headers, row)) does.
+        """
+        rows = "[]"
+        if self.rows:
+            columns = _format_columns(self.rows, precision, _json_cell, float)
+            last = {header: i for i, header in enumerate(self.headers)}
+            # an encoded scalar holds no raw newline, so one splits the cells
+            cells = [json.dumps(columns[i], separators=("\n", ": "))[1:-1]
+                     .split("\n") for i in last.values()]
+            fields = ",\n".join("      %s: %%s" % json.dumps(h).replace("%", "%%")
+                                for h in last)
+            record = "    {\n%s\n    }" % fields if fields else "    {}"
+            records = zip(*cells) if cells else [()] * len(self.rows)
+            rows = "[\n%s\n  ]" % ",\n".join(map(record.__mod__, records))
+        return '{\n  "name": %s,\n  "rows": %s\n}\n' % (json.dumps(self.name), rows)
 
 
 def _emit(artifacts: list[Artifact], command: str, parameters: dict,
@@ -436,15 +454,19 @@ def cmd_simulate(args) -> int:
     headers = ["t_gamma", "pop_axial", "pop_y_pair", "pop_x_pair",
                "norm", "entropy_x"]
     artifacts = []
-    top_fock = {}
+    top_fock, live_states = {}, {}
     for label, h in sorted(hamiltonians.items()):
-        # all samples in one propagation from the initial state
-        amps = quantum_mod._propagate(h, state0.amplitudes,
-                                      np.arange(samples) * d_tau)
+        # all samples in one propagation from the initial state, held on
+        # the live support idx only
+        idx, amps = quantum_mod._propagate(h, state0.amplitudes,
+                                           np.arange(samples) * d_tau)
         norms = quantum_mod._checked_norms(amps)
-        pops = np.abs(amps[:, watched]) ** 2
-        entropies = quantum_mod._schmidt_entropies(fock, amps, x_axes)
-        top_fock[label] = quantum_mod._top_fock_population(fock, amps)
+        # a watched state outside the support has population exactly 0
+        at = np.minimum(np.searchsorted(idx, watched), idx.size - 1)
+        pops = np.where(idx[at] == watched, np.abs(amps[:, at]) ** 2, 0.0)
+        entropies = quantum_mod._schmidt_entropies(fock, idx, amps, x_axes)
+        top_fock[label] = quantum_mod._top_fock_population(fock, idx, amps)
+        live_states[label] = int(idx.size)
         rows = [(float(t_gamma[k]), *(float(p) for p in pops[k]),
                  float(norms[k]), float(entropies[k]))
                 for k in range(samples)]
@@ -457,7 +479,8 @@ def cmd_simulate(args) -> int:
         "duration_gamma_t": duration, "samples": samples, "mode": flavor,
     }
     return _emit(artifacts, "simulate", params, args,
-                 diagnostics={"top_fock_population": top_fock})
+                 diagnostics={"top_fock_population": top_fock,
+                              "live_states": live_states})
 
 
 def _pair_gain(proj, pair: list[int]) -> float:

@@ -40,10 +40,14 @@ blocks, since the mirror-forbidden couplings are exact zeros, see
 couples |z_p = 1> only to the x-pair and y-pair states (a 3-state block
 at any cutoff). So a run from |z_p = 1> diagonalizes one parity sector
 of the full generator and the 3-state block of the rotating-wave one.
-On one x86-64 core a `simulate` run with mode = both and 201 samples
-takes about 0.06 s at cutoff 3 (dimension 1024), 0.17 s at cutoff 4
-(3125) and 2.7 s at cutoff 6 (16807, 0.24 GB peak memory, most of it
-the eigh of the 2163-state live sector).
+Samples are held on the live support only, the sorted states of the
+live blocks, and the norms, populations, Schmidt entropies and
+top-Fock leakage are read from there; every amplitude outside the
+support is exactly zero. On one x86-64 core a `simulate` run with
+mode = both and 201 samples takes about 0.04 s at cutoff 3 (dimension
+1024, live support 128), 0.12 s at cutoff 4 (3125, 410) and 3.3 s at
+cutoff 6 (16807, 0.24 GB peak memory, most of it the eigh of the
+2163-state live sector).
 """
 
 from dataclasses import dataclass
@@ -659,31 +663,39 @@ def evolve(state: QuantumState, h: HamiltonianMatrix, duration: float) -> Quantu
     """
     if state.basis != h.basis:
         raise ValueError("state and Hamiltonian live on different bases")
-    amps = _propagate(h, state.amplitudes, [duration])[0]
+    idx, out = _propagate(h, state.amplitudes, [duration])
+    amps = np.zeros(h.basis.dimension, dtype=complex)
+    amps[idx] = out[0]
     return QuantumState(basis=state.basis, amplitudes=amps, tau=state.tau + duration)
 
 
-def _propagate(h: HamiltonianMatrix, amps, taus) -> np.ndarray:
-    """Amplitudes exp(-i H tau_k) amps for every tau_k, shape (K, dim).
+def _propagate(h: HamiltonianMatrix, amps, taus) -> tuple:
+    """Amplitudes exp(-i H tau_k) amps for every tau_k on the live support.
 
-    A block where amps has no amplitude keeps none and is skipped. In a
-    live block with eigenvectors V and eigenvalues w, c = V^H amps and
-    all K samples are the one product V @ (exp(-i w tau_k) * c). Samples
-    at tau = 0 return amps unchanged.
+    Returns (idx, out): idx is the sorted union of the indices of the
+    blocks where amps has amplitude, and out[k, j] is the amplitude of
+    state idx[j] at tau_k, shape (K, idx.size). No stored entry joins two
+    blocks, so every amplitude outside idx is exactly zero. In a live
+    block with eigenvectors V and eigenvalues w, c = V^H amps and all K
+    samples are the one product V @ (exp(-i w tau_k) * c). Samples at
+    tau = 0 return amps unchanged.
     """
     amps = np.asarray(amps, dtype=complex)
     taus = np.asarray(taus, dtype=float).reshape(-1)
     order, starts = h._blocks
     live = np.logical_or.reduceat(amps[order] != 0, starts)
-    out = np.zeros((taus.size, amps.size), dtype=complex)
-    for b in np.flatnonzero(live):
-        idx, w, v = h._eigensystem(b)
+    systems = [h._eigensystem(b) for b in np.flatnonzero(live)]
+    idx = np.sort(np.concatenate([np.zeros(0, dtype=np.intp)]
+                                 + [block for block, _w, _v in systems]))
+    out = np.empty((taus.size, idx.size), dtype=complex)
+    for block, w, v in systems:
         product = np.matmul if np.iscomplexobj(v) else _real_product
-        coeffs = product(v.conj().T, amps[idx])
-        out[:, idx] = product(v, coeffs[:, None] * np.exp(-1j * np.outer(w, taus))).T
+        coeffs = product(v.conj().T, amps[block])
+        out[:, np.searchsorted(idx, block)] = product(
+            v, coeffs[:, None] * np.exp(-1j * np.outer(w, taus))).T
     # exp(-i H 0) is the identity: the initial sample stays exact
-    out[taus == 0.0] = amps
-    return out
+    out[taus == 0.0] = amps[idx]
+    return idx, out
 
 
 def _real_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -737,22 +749,37 @@ def entanglement_entropy(state: QuantumState, partition) -> float:
     axes = [state.basis.axis_of(m) for m in part]
     if len(axes) == len(state.basis.modes):
         raise ValueError("partition must be a proper subset of the active modes")
-    return float(_schmidt_entropies(state.basis, state.amplitudes, axes)[0])
+    idx = np.flatnonzero(state.amplitudes)
+    return float(_schmidt_entropies(state.basis, idx, state.amplitudes[idx],
+                                    axes)[0])
 
 
-def _schmidt_entropies(basis: FockBasis, amps: np.ndarray, axes) -> np.ndarray:
+def _schmidt_entropies(basis: FockBasis, idx: np.ndarray, amps: np.ndarray,
+                       axes) -> np.ndarray:
     """Entanglement entropy (nats) of each amplitude vector in amps.
 
-    amps has shape (K, dim) or (dim,); axes are the basis axes on one
-    side of the cut, a nonempty proper subset. One batched SVD gives the
-    K Schmidt spectra.
+    amps holds the amplitudes of the basis states idx, shape
+    (K, idx.size) or (idx.size,); every state outside idx has amplitude
+    zero. axes are the basis axes on one side of the cut, a nonempty
+    proper subset. Each support state splits into a partition index a and
+    a rest index b; only the a and b values that occur become rows and
+    columns, since the all-zero rows and columns the rest of the basis
+    would add leave the nonzero singular values unchanged. One batched
+    SVD gives the K Schmidt spectra.
     """
     axes = list(axes)
     rest = [k for k in range(len(basis.modes)) if k not in axes]
-    tensor = np.reshape(amps, (-1,) + basis.shape)
-    moved = np.transpose(tensor, [0] + [k + 1 for k in axes + rest])
-    dim_a = int(np.prod([basis.shape[k] for k in axes]))
-    schmidt = np.linalg.svd(moved.reshape(len(tensor), dim_a, -1), compute_uv=False)
+    occ = np.unravel_index(idx, basis.shape)
+    sides = []
+    for side in (axes, rest):
+        flat = np.ravel_multi_index([occ[k] for k in side],
+                                    [basis.shape[k] for k in side])
+        sides.append(np.unique(flat, return_inverse=True))
+    (a_values, a), (b_values, b) = sides
+    amps = np.reshape(amps, (-1, idx.size))
+    matrices = np.zeros((len(amps), a_values.size, b_values.size), dtype=amps.dtype)
+    matrices[:, a, b] = amps
+    schmidt = np.linalg.svd(matrices, compute_uv=False)
     weights = schmidt**2
     kept = weights > 1e-300
     terms = np.where(kept, weights * np.log(np.where(kept, weights, 1.0)), 0.0)
@@ -760,15 +787,18 @@ def _schmidt_entropies(basis: FockBasis, amps: np.ndarray, axes) -> np.ndarray:
     return -np.sum(terms, axis=1) + 0.0
 
 
-def _top_fock_population(basis: FockBasis, amps: np.ndarray) -> float:
+def _top_fock_population(basis: FockBasis, idx: np.ndarray, amps: np.ndarray) -> float:
     """Largest population in the top Fock level of any mode, over all samples.
 
-    amps has shape (K, dim) or (dim,). A value near 0 says the cutoff
-    does not drive the dynamics; a large one flags truncation leakage.
+    amps holds the amplitudes of the basis states idx, shape
+    (K, idx.size) or (idx.size,); states outside idx have none. A value
+    near 0 says the cutoff does not drive the dynamics; a large one flags
+    truncation leakage.
     """
-    probs = np.reshape(np.abs(amps) ** 2, (-1,) + basis.shape)
+    probs = np.abs(np.reshape(amps, (-1, idx.size))) ** 2
+    occ = np.unravel_index(idx, basis.shape)
     top = 0.0
     for k, cutoff in enumerate(basis.cutoffs):
-        level = np.take(probs, cutoff, axis=k + 1).reshape(len(probs), -1)
+        level = probs[:, occ[k] == cutoff]
         top = max(top, float(np.max(level.sum(axis=1))))
     return top

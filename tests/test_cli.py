@@ -347,6 +347,22 @@ def test_json_columns_match_cell_reference(table, precision):
                                                      precision)
 
 
+@pytest.mark.parametrize("name, headers, rows", [
+    ("mixed", ["label", "n", "value"],
+     [("a", 1, 0.1), ("b", -3, 2.5e-300), ("c", 10**20, -7.0)]),
+    ("special", ["t", "e"],
+     [(float("nan"), float("inf")), (-float("inf"), -0.0)]),
+    ('qu"o\\te é', ['say "hi"', "µ %s", "tab\t", "say \"hi\""],
+     [('"', "naïve \U0001d53c", "\n\x00", 1.0)]),
+    ("empty", ["a", "b"], []),
+])
+def test_json_bytes_equal_indented_dumps(name, headers, rows):
+    art = cli.Artifact(name, headers, rows)
+    for precision in (1, 6, 17):
+        assert art.as_json(precision) == _reference_json(name, headers, rows,
+                                                         precision)
+
+
 # --- file output, manifests, determinism --------------------------------
 
 SIM_CONFIG = """\
@@ -411,8 +427,21 @@ def test_simulate_output_is_deterministic(tmp_path, capsys):
 
 
 def test_simulate_rows_equal_per_sample_evolution(tmp_path, capsys):
+    _check_rows_against_evolve(tmp_path, capsys, None)
+
+
+def test_symmetry_breaking_start_equals_per_sample_evolution(tmp_path, capsys):
+    _check_rows_against_evolve(tmp_path, capsys, {("x", 5): 1})
+
+
+def _check_rows_against_evolve(tmp_path, capsys, initial):
+    """simulate's rows against evolve from the pump (initial None) or initial."""
     cfg = tmp_path / "sim.cfg"
-    cfg.write_text(SIM_CONFIG.replace("duration = 0.5", "duration = 6.0"))
+    text = SIM_CONFIG.replace("duration = 0.5", "duration = 6.0")
+    if initial is not None:
+        # breaks the x parity: the watched states lie outside the support
+        text += "initial = x5:1\n"
+    cfg.write_text(text)
     out_dir = tmp_path / "out"
     code, *_ = run_cli(capsys, "--format", "csv", "--precision", "17",
                        "--output-dir", str(out_dir), "simulate", str(cfg))
@@ -433,8 +462,8 @@ def test_simulate_rows_equal_per_sample_evolution(tmp_path, capsys):
             + quantum.build_full_interaction(fock, basis, tensors, eps)}
     occs = quantum.down_conversion_states(fock, entry)
     x_pair = tuple(m for m in fock.modes if m[0] == "x")
-    state0 = quantum.QuantumState(basis=fock,
-                                  amplitudes=fock.number_state(occs[0]))
+    state0 = quantum.QuantumState(
+        basis=fock, amplitudes=fock.number_state(initial or occs[0]))
     d_tau = (6.0 / 10) / rate
     top = {}
     for label, h in hams.items():
@@ -454,22 +483,50 @@ def test_simulate_rows_equal_per_sample_evolution(tmp_path, capsys):
                     if fock.occupations(i)[mode] == 2)
                 for mode in fock.modes))
         assert worst <= 1e-13, (label, worst)
+        if initial is not None:
+            assert all(float(row[c]) == 0.0 for row in rows
+                       for c in ("pop_axial", "pop_y_pair", "pop_x_pair"))
     manifest = json.loads(
         (out_dir / "simulate_full.csv.manifest.json").read_text())
     leak = manifest["diagnostics"]["top_fock_population"]
     assert set(leak) == {"rwa", "full"}
     for label in leak:
         assert abs(leak[label] - top[label]) <= 1e-15
-    # the rotating-wave run never leaves the three one- and two-phonon states
-    assert leak["rwa"] == 0.0 and 0.0 < leak["full"] < 1e-3
+    if initial is None:
+        # the rotating-wave run never leaves the three one- and two-phonon
+        # states
+        assert leak["rwa"] == 0.0 and 0.0 < leak["full"] < 1e-3
+
+
+def test_simulate_reports_live_states(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG.replace("cutoff = 2", "cutoff = 3"))
+    code, printed, _ = run_cli(capsys, "--format", "csv", "simulate", str(cfg))
+    assert code == 0
+    out_dir = tmp_path / "out"
+    code, *_ = run_cli(capsys, "--format", "csv", "--output-dir",
+                       str(out_dir), "simulate", str(cfg))
+    assert code == 0
+    manifest = json.loads(
+        (out_dir / "simulate_rwa.csv.manifest.json").read_text())
+    # the 3-state down-conversion block and one of 8 parity sectors of 1024
+    assert manifest["diagnostics"]["live_states"] == {"full": 128, "rwa": 3}
+    # the figure goes to the manifest only: stdout carries the tables alone
+    assert printed == "".join(
+        f"== {name} ==\n" + (out_dir / f"{name}.csv").read_text()
+        for name in ("simulate_full", "simulate_rwa"))
 
 
 def test_simulate_rejects_norm_drift(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(SIM_CONFIG)
     real = quantum._propagate
-    monkeypatch.setattr(quantum, "_propagate",
-                        lambda h, amps, taus: 1.000001 * real(h, amps, taus))
+
+    def drifting(h, amps, taus):
+        idx, out = real(h, amps, taus)
+        return idx, 1.000001 * out
+
+    monkeypatch.setattr(quantum, "_propagate", drifting)
     code, out, err = run_cli(capsys, "simulate", str(cfg))
     assert code == 1 and out == ""
     assert "deviates from 1 beyond 1e-9" in err

@@ -414,6 +414,55 @@ def _whole_matrix_samples(h, amps, taus):
     return np.array([v @ (np.exp(-1j * w * tau) * coeffs) for tau in taus])
 
 
+def _scatter(basis, idx, out):
+    """Support samples (K, idx.size) as dense (K, dim) rows."""
+    dense = np.zeros((len(out), basis.dimension), dtype=complex)
+    dense[:, idx] = out
+    return dense
+
+
+def _dense_propagate(h, amps, taus):
+    return _scatter(h.basis, *quantum._propagate(h, amps, taus))
+
+
+def _reference_propagate(h, amps, taus):
+    """Dense block propagation, every live block written into (K, dim)."""
+    amps = np.asarray(amps, dtype=complex)
+    taus = np.asarray(taus, dtype=float)
+    order, starts = h._blocks
+    live = np.logical_or.reduceat(amps[order] != 0, starts)
+    out = np.zeros((taus.size, amps.size), dtype=complex)
+    for b in np.flatnonzero(live):
+        idx, w, v = h._eigensystem(b)
+        product = np.matmul if np.iscomplexobj(v) else quantum._real_product
+        coeffs = product(v.conj().T, amps[idx])
+        out[:, idx] = product(v, coeffs[:, None] * np.exp(-1j * np.outer(w, taus))).T
+    out[taus == 0.0] = amps
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_support_samples_scatter_to_dense_reference(six_ion_resonance, cutoff):
+    entry, fock, h = _full_generator(six_ion_resonance, cutoff)
+    psi, _, _ = quantum.down_conversion_states(fock, entry)
+    taus = np.linspace(0.0, 900.0, 17)
+    starts = [fock.number_state(psi),
+              fock.number_state({("x", 5): 1}),
+              (fock.number_state(psi) + fock.number_state({("x", 5): 1}))
+              / np.sqrt(2.0)]
+    for amps, n_live in zip(starts, (1, 1, 2)):
+        idx, out = quantum._propagate(h, amps, taus)
+        assert np.all(np.diff(idx) > 0) and out.shape == (taus.size, idx.size)
+        dense = _reference_propagate(h, amps, taus)
+        assert np.array_equal(_dense_propagate(h, amps, taus), dense)
+        # nothing outside the support: the live blocks' states, all of them
+        order, block_starts = h._blocks
+        blocks = np.split(order, block_starts[1:])
+        live = [b for b in blocks if np.any(amps[b] != 0)]
+        assert len(live) == n_live
+        assert np.array_equal(idx, np.sort(np.concatenate(live)))
+
+
 def test_propagate_matches_whole_matrix_eigh(six_ion_resonance):
     entry, fock, h = _full_generator(six_ion_resonance)
     rng = np.random.default_rng(3)
@@ -421,8 +470,7 @@ def test_propagate_matches_whole_matrix_eigh(six_ion_resonance):
     spread = rng.normal(size=fock.dimension) + 1j * rng.normal(size=fock.dimension)
     psi, _, _ = quantum.down_conversion_states(fock, entry)
     for amps in (fock.number_state(psi), spread / np.linalg.norm(spread)):
-        got = quantum._propagate(h, amps, taus)
-        assert got.shape == (taus.size, fock.dimension)
+        got = _dense_propagate(h, amps, taus)
         assert np.array_equal(got[0], amps)
         assert np.max(np.abs(got - _whole_matrix_samples(h, amps, taus))) <= 1e-12
 
@@ -441,9 +489,10 @@ def test_propagate_on_planted_complex_blocks():
     two_blocks = np.where(labels % 2 == 0, spread, 0.0)
     for amps in (spread, two_blocks):
         amps = amps / np.linalg.norm(amps)
-        got = quantum._propagate(h, amps, taus)
+        got = _dense_propagate(h, amps, taus)
         assert np.max(np.abs(got - _whole_matrix_samples(h, amps, taus))) <= 1e-12
-    assert np.all(got[:, labels % 2 == 1] == 0.0)
+    assert np.array_equal(quantum._propagate(h, amps, taus)[0],
+                          np.flatnonzero(labels % 2 == 0))
 
 
 def test_propagate_matches_repeated_evolve(six_ion_resonance):
@@ -451,7 +500,7 @@ def test_propagate_matches_repeated_evolve(six_ion_resonance):
     psi, _, _ = quantum.down_conversion_states(fock, entry)
     state = quantum.QuantumState(basis=fock, amplitudes=fock.number_state(psi))
     step = 0.37
-    batched = quantum._propagate(h, state.amplitudes, np.arange(40) * step)
+    batched = _dense_propagate(h, state.amplitudes, np.arange(40) * step)
     for k in range(1, 40):
         state = quantum.evolve(state, h, step)
         assert np.max(np.abs(state.amplitudes - batched[k])) <= 1e-12
@@ -495,13 +544,17 @@ def _reference_entropy(basis, amps, axes):
 def test_batched_entropies_match_single_state(six_ion_resonance):
     entry, fock, h = _full_generator(six_ion_resonance)
     psi, _, _ = quantum.down_conversion_states(fock, entry)
-    amps = quantum._propagate(h, fock.number_state(psi),
-                              np.linspace(0.0, 900.0, 12))
+    idx, out = quantum._propagate(h, fock.number_state(psi),
+                                  np.linspace(0.0, 900.0, 12))
     rng = np.random.default_rng(9)
     spread = rng.normal(size=(3, fock.dimension)) + 0j
-    amps = np.vstack([amps, spread / np.linalg.norm(spread, axis=1)[:, None]])
+    spread /= np.linalg.norm(spread, axis=1)[:, None]
+    amps = np.vstack([_scatter(fock, idx, out), spread])
     for axes in ([1, 2], [0], [0, 3, 4]):
-        got = quantum._schmidt_entropies(fock, amps, axes)
+        got = np.concatenate([
+            quantum._schmidt_entropies(fock, idx, out, axes),
+            quantum._schmidt_entropies(fock, np.arange(fock.dimension),
+                                       spread, axes)])
         ref = [_reference_entropy(fock, a, axes) for a in amps]
         assert np.max(np.abs(got - ref)) <= 1e-14
     x_pair = tuple(m for m in fock.modes if m[0] == "x")
@@ -510,16 +563,66 @@ def test_batched_entropies_match_single_state(six_ion_resonance):
                - _reference_entropy(fock, amps[5], [1, 2])) <= 1e-14
 
 
+def _reference_top_fock(basis, dense):
+    """Top-Fock population from dense (K, dim) amplitudes, mode by mode."""
+    probs = np.reshape(np.abs(dense) ** 2, (-1,) + basis.shape)
+    return max(float(np.max(np.take(probs, cutoff, axis=k + 1)
+                            .reshape(len(probs), -1).sum(axis=1)))
+               for k, cutoff in enumerate(basis.cutoffs))
+
+
+@pytest.fixture(scope="module")
+def cutoff2_generator(six_ion_resonance):
+    _, fock, h = _full_generator(six_ion_resonance, cutoff=2)
+    return fock, h
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_support_kernels_match_dense_reference(cutoff2_generator, data):
+    fock, h = cutoff2_generator
+    order, starts = h._blocks
+    blocks = np.split(order, starts[1:])
+    kind = data.draw(st.sampled_from(["single state", "full", "two blocks"]))
+    if kind == "single state":
+        idx = np.array([data.draw(st.integers(0, fock.dimension - 1))])
+    elif kind == "full":
+        idx = np.arange(fock.dimension)
+    else:
+        pair = data.draw(st.lists(st.integers(0, len(blocks) - 1),
+                                  min_size=2, max_size=2, unique=True))
+        idx = np.sort(np.concatenate([blocks[b] for b in pair]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (data.draw(st.integers(1, 4)), idx.size)
+    out = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    dense = _scatter(fock, idx, out)
+    n_modes = len(fock.modes)
+    axes = data.draw(st.lists(st.integers(0, n_modes - 1), min_size=1,
+                              max_size=n_modes - 1, unique=True))
+
+    got = quantum._schmidt_entropies(fock, idx, out, axes)
+    ref = [_reference_entropy(fock, a, axes) for a in dense]
+    assert np.max(np.abs(got - ref)) <= 1e-14
+    assert abs(quantum._top_fock_population(fock, idx, out)
+               - _reference_top_fock(fock, dense)) <= 1e-15
+    assert np.max(np.abs(quantum._checked_norms(out)
+                         - np.linalg.norm(dense, axis=1))) <= 1e-15
+
+
 def test_top_fock_population_matches_occupation_loop(six_ion_resonance):
     entry, fock, h = _full_generator(six_ion_resonance, cutoff=2)
     psi, _, _ = quantum.down_conversion_states(fock, entry)
     rng = np.random.default_rng(13)
     spread = rng.normal(size=(4, fock.dimension)) + 1j * rng.normal(
         size=(4, fock.dimension))
-    samples = np.vstack([
-        quantum._propagate(h, fock.number_state(psi), [0.0, 300.0, 600.0]),
-        spread / np.linalg.norm(spread, axis=1)[:, None]])
-    for amps in (samples[:3], samples):
+    idx, out = quantum._propagate(h, fock.number_state(psi), [0.0, 300.0, 600.0])
+    samples = np.vstack([_scatter(fock, idx, out),
+                         spread / np.linalg.norm(spread, axis=1)[:, None]])
+    everything = np.arange(fock.dimension)
+    for got, amps in ((quantum._top_fock_population(fock, idx, out), samples[:3]),
+                      (quantum._top_fock_population(fock, everything, samples),
+                       samples)):
         top = 0.0
         for row in amps:
             per_mode = dict.fromkeys(fock.modes, 0.0)
@@ -528,8 +631,9 @@ def test_top_fock_population_matches_occupation_loop(six_ion_resonance):
                     if n == fock.cutoffs[fock.axis_of(mode)]:
                         per_mode[mode] += abs(row[i]) ** 2
             top = max(top, *per_mode.values())
-        assert abs(quantum._top_fock_population(fock, amps) - top) <= 1e-15
-    assert quantum._top_fock_population(fock, fock.number_state(psi)) == 0.0
+        assert abs(got - top) <= 1e-15
+    pump = [fock.index_of(psi)]
+    assert quantum._top_fock_population(fock, np.array(pump), np.ones(1)) == 0.0
 
 
 def test_rwa_refuses_off_resonant_anisotropy(six_ion_resonance):
