@@ -243,16 +243,10 @@ def _parse_resonance(text: str) -> tuple[int, int, int]:
 
 
 def _find_entry(chain, m: int, n: int, p: int):
-    """Second-kind catalog entry with transverse pair {m, n} and pump p.
-
-    Only the requested triple goes through the catalog kernel, so the
-    result is the entry `build_catalog` would list, without the rest.
-    """
-    if all(2 <= k <= chain.n_ions for k in (m, n, p)):
-        found = resonances_mod._entries(
-            chain, np.array([p]), np.array([min(m, n)]), np.array([max(m, n)]))
-        if found and found[0].kind == resonances_mod.SECOND_KIND:
-            return found[0]
+    """Second-kind entry of the chain's catalog with pair {m, n} and pump p."""
+    entry = chain.resonances.get((p, min(m, n), max(m, n)))
+    if entry is not None and entry.kind == resonances_mod.SECOND_KIND:
+        return entry
     raise ValueError(
         f"no second-kind resonance {{{m},{n}}} <- {p} "
         f"in the N = {chain.n_ions} catalog")
@@ -297,7 +291,7 @@ def _parse_mode_map(text: str, value_type=float) -> dict:
 # --- subcommands ----------------------------------------------------------
 
 def cmd_equilibrium(args) -> int:
-    u = equilibrium_mod.solve_equilibrium(args.n)
+    u = resonances_mod._positions(args.n)
     headers = ["ion", "u"]
     notes = []
     params = {"n": args.n}
@@ -323,7 +317,7 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_modes(args) -> int:
-    u = equilibrium_mod.solve_equilibrium(args.n)
+    u = resonances_mod._positions(args.n)
     basis = modes_mod.mode_basis(u, args.alpha)
     headers = ["p", "mu", "gamma", "nu_over_omega3", "Omega_over_omega3"]
     headers += [f"b{i}" for i in range(1, args.n + 1)]
@@ -348,7 +342,7 @@ def cmd_tables(args) -> int:
         bound_rows.append((n_ions,
                            float(resonances_mod.alpha_min(chain.mu)),
                            float(chain.alpha_crit)))
-        for entry in resonances_mod._catalog(chain):
+        for entry in chain.resonances.values():
             row = (entry.n_ions, entry.m, entry.n, entry.p,
                    float(entry.coupling), float(entry.alpha_res))
             if entry.kind == resonances_mod.FIRST_KIND:
@@ -532,10 +526,7 @@ def cmd_classical(args) -> int:
 
     # the main run and the transfer comparison integrate as one batch,
     # one member per distinct alpha
-    if chain is None:
-        u = equilibrium_mod.solve_equilibrium(n_ions)
-    else:
-        u = chain.u
+    u = resonances_mod._positions(n_ions) if chain is None else chain.u
     alphas = list(dict.fromkeys([alpha] + [a for _, a in transfer]))
     bases = [modes_mod.mode_basis(u, a) for a in alphas]
     trajs = classical_mod.integrate_batch(

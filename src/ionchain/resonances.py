@@ -15,14 +15,15 @@ Entries are keyed the way the resonance acts: (m, n) = (larger, smaller)
 index for the second kind, (destroyed, created) for the first kind.
 
 The formulas are written once and evaluated as numpy expressions over
-arrays of triples: `build_catalog` passes every (p, i <= j) of a chain
-through that kernel at once, and the CLI looks up one resonance by
-passing only its own triple. The scalar `delta`, `candidate_alpha` and
+arrays of triples: every (p, i <= j) of a chain goes through that kernel
+at once, when the chain is solved, and `build_catalog` and the CLI read
+the catalog the chain keeps. The scalar `delta`, `candidate_alpha` and
 `classify` are the one-triple case of the same code.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -233,8 +234,9 @@ class _Chain:
     and can differ from mu in the last few ulps; the catalog reads those,
     the bounds and rates read mu. Eigenvectors and mu do not depend on alpha,
     so the probe's vectors, and with them the mode tensor, hold at every
-    stable alpha. Every array is read-only: one memoised chain is shared
-    by every caller in the process.
+    stable alpha. resonances maps (p, min(m, n), max(m, n)) to the catalog
+    entry, in (p, m, n) order. All of it is read-only: one memoised chain
+    is shared by every caller in the process.
     """
 
     u: np.ndarray
@@ -242,12 +244,15 @@ class _Chain:
     alpha_crit: float
     probe: modes_mod.ModeBasis
     tensors: coupling_mod.CouplingTensors
+    resonances: MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("u", "mu"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "resonances", MappingProxyType(
+            {(e.p, min(e.m, e.n), max(e.m, e.n)): e for e in _catalog(self)}))
 
     @property
     def n_ions(self) -> int:
@@ -267,18 +272,26 @@ def _solve_chain(n_ions: int, n_cap: int = 10) -> _Chain:
     an LRU memo of _CHAIN_MEMO_SIZE chains keyed by n_ions alone, so
     repeated CLI calls and catalogs in one process share it. The guard
     runs before the lookup, so an out-of-range n_ions raises on every
-    call and nothing is cached for it. The ion and mode tensors dominate
-    an entry, 2 N^3 8-byte floats (0.5 MB at N = 32); the memo holds at
-    most _CHAIN_MEMO_SIZE of them.
+    call and nothing is cached for it. The ion and mode tensors, 2 N^3
+    8-byte floats, and the catalog make up an entry: 32 KB at N = 10,
+    0.9 MB at N = 32, so 16 chains up to N = 32 hold at most 15 MB.
     """
     _check_length(n_ions, n_cap)
     return _memo_chain(n_ions)
 
 
 @functools.lru_cache(maxsize=_CHAIN_MEMO_SIZE)
-def _memo_chain(n_ions: int) -> _Chain:
-    """The solve behind `_solve_chain`; `__wrapped__` is the uncached one."""
+def _positions(n_ions: int) -> np.ndarray:
+    """Read-only positions, solved once per process; N floats each, no n_cap."""
     u = equilibrium_mod.solve_equilibrium(n_ions)
+    u.flags.writeable = False
+    return u
+
+
+@functools.lru_cache(maxsize=_CHAIN_MEMO_SIZE)
+def _memo_chain(n_ions: int) -> _Chain:
+    """The solve behind `_solve_chain`; `__wrapped__` builds a fresh chain."""
+    u = _positions(n_ions)
     axial = modes_mod.axial_matrix(u)
     mu = np.linalg.eigvalsh(axial)
     alpha_crit = modes_mod.critical_anisotropy(mu)
@@ -288,15 +301,19 @@ def _memo_chain(n_ions: int) -> _Chain:
                   tensors=tensors)
 
 
-def _entries(chain: _Chain, p, i, j, tol: float = MATCH_TOL):
-    """Resonance entries among the triples (p, i, j), sorted by (p, m, n).
+def _catalog(chain: _Chain, tol: float = MATCH_TOL):
+    """Every resonance of a solved chain, sorted by (p, m, n).
 
-    p, i, j are integer arrays of 1-based indices in 2..N with i <= j.
-    Every step is one numpy expression over all triples: the candidate
-    alpha, the zig-zag window, the two delta signs with the ambiguity
-    error, the role keys, the first-kind i == j skip and the coupling
-    floor. Only the surviving entries are built one by one.
+    Every step is one numpy expression over all (p, i <= j) in 2..N: the
+    candidate alpha, the zig-zag window, the two delta signs with the
+    ambiguity error, the role keys, the first-kind i == j skip and the
+    coupling floor. Only the surviving entries are built one by one.
     """
+    span = chain.n_ions - 1
+    rows, cols = np.triu_indices(span)
+    p = np.repeat(np.arange(2, chain.n_ions + 1), rows.size)
+    i = np.tile(rows + 2, span)
+    j = np.tile(cols + 2, span)
     mu = chain.probe.mu
     alpha = candidate_alpha(mu[i - 1], mu[j - 1], mu[p - 1])
     inside = alpha < chain.alpha_crit
@@ -324,31 +341,19 @@ def _entries(chain: _Chain, p, i, j, tol: float = MATCH_TOL):
     ]
 
 
-def _catalog(chain: _Chain, tol: float = MATCH_TOL):
-    """Every resonance of a solved chain: all (p, i <= j) in 2..N at once."""
-    span = chain.n_ions - 1
-    rows, cols = np.triu_indices(span)
-    p = np.repeat(np.arange(2, chain.n_ions + 1), rows.size)
-    i = np.tile(rows + 2, span)
-    j = np.tile(cols + 2, span)
-    return _entries(chain, p, i, j, tol)
-
-
 def build_catalog(n_ions: int, n_cap: int = 10):
     """All resonant triples of an n_ions chain, with couplings.
 
-    The chain is solved once per process and kept in the memo of
-    `_solve_chain` (16 chains, 2 N^3 8-byte floats of tensors each).
-    Then every axial mode p and unordered transverse pair {i <= j} (all
-    in 2..N) go through one vectorised kernel, which computes the
-    candidate alphas, keeps those below the zig-zag threshold, classifies
-    them, and drops the symmetry-forbidden couplings. Keys follow the
-    role convention described in the module docstring, so each (pair, p)
+    Every axial mode p and unordered transverse pair {i <= j} (all in
+    2..N) go through one vectorised kernel, which computes the candidate
+    alphas, keeps those below the zig-zag threshold, classifies them, and
+    drops the symmetry-forbidden couplings. Keys follow the role
+    convention described in the module docstring, so each (pair, p)
     combination appears exactly once. Entries are sorted by (p, m, n).
-    The CLI looks up a single resonance by passing just its triple to the
-    same kernel.
+    The kernel runs once per chain, when `_solve_chain` solves it; each
+    call returns a new list of the chain's frozen entries.
 
     n_cap guards against accidentally huge enumerations; raise it
     explicitly for chains longer than 10 ions.
     """
-    return _catalog(_solve_chain(n_ions, n_cap))
+    return list(_solve_chain(n_ions, n_cap).resonances.values())

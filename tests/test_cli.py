@@ -158,20 +158,22 @@ def test_unknown_resonance(capsys):
     assert "no second-kind resonance" in err
 
 
-@pytest.mark.parametrize("n_ions", range(2, 11))
-def test_single_triple_lookup_matches_a_catalog_scan(n_ions):
-    catalog = resonances.build_catalog(n_ions)
-    chain = resonances._solve_chain(n_ions)
+@pytest.mark.parametrize("n_ions", [*range(2, 11), 12, 16, 20])
+def test_lookup_matches_a_catalog_scan(n_ions):
+    catalog = resonances.build_catalog(n_ions, n_cap=n_ions)
+    chain = resonances._solve_chain(n_ions, n_cap=n_ions)
+    # the first second-kind entry of each ({m, n}, p), as a scan finds it
+    scan = {}
+    for e in catalog:
+        if e.kind == resonances.SECOND_KIND:
+            scan.setdefault((frozenset((e.m, e.n)), e.p), e)
     indices = range(1, n_ions + 2)
     for m in indices:
         for n in indices:
             for p in indices:
-                # the lookup the CLI made before it had a single-triple kernel
-                scan = [e for e in catalog
-                        if e.kind == resonances.SECOND_KIND
-                        and {e.m, e.n} == {m, n} and e.p == p]
-                if scan:
-                    assert cli._find_entry(chain, m, n, p) == scan[0]
+                want = scan.get((frozenset((m, n)), p))
+                if want is not None:
+                    assert cli._find_entry(chain, m, n, p) == want
                 else:
                     message = (f"no second-kind resonance {{{m},{n}}} <- {p} "
                                f"in the N = {n_ions} catalog")
@@ -647,13 +649,22 @@ def test_each_command_solves_each_chain_once(tmp_path, capsys, solves):
     classical_cfg.write_text(
         "n = 6\nresonance = 6,5,5\ndetune = 0.2\n"
         "displacement = z5:0.01\ndt = 2e-3\nt_final = 1\nstride = 10\n")
+    free_cfg = tmp_path / "free.cfg"
+    free_cfg.write_text(
+        "n = 6\nalpha = 0.05\ndisplacement = z5:0.01\n"
+        "dt = 2e-3\nt_final = 1\nstride = 10\n")
     for argv, solved in (
             (["epsilon", "--species", "Ca40", "--omega3", "2e6", "--n", "9",
               "--resonance", "9,8,7"], [9]),
             (["tables", "--n", "2..10"], list(range(2, 11))),
             (["simulate", str(sim_cfg)], [6]),
-            (["classical", str(classical_cfg)], [6])):
+            (["classical", str(classical_cfg)], [6]),
+            (["equilibrium", "--n", "6"], [6]),
+            (["modes", "--n", "6", "--alpha", "0.05"], [6]),
+            (["classical", str(free_cfg)], [6]),
+            (["equilibrium", "--n", "40"], [40])):
         resonances._memo_chain.cache_clear()
+        resonances._positions.cache_clear()
         solves.clear()
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
@@ -667,10 +678,51 @@ def test_each_command_solves_each_chain_once(tmp_path, capsys, solves):
 
 def test_tables_past_the_cap_fails_before_solving(capsys, solves):
     resonances._memo_chain.cache_clear()
+    resonances._positions.cache_clear()
     code, out, err = run_cli(capsys, "tables", "--n", "2..11")
     assert code == 1 and out == ""
     assert err == "error: n_ions must be in 2..10, got 11\n"
     assert solves == []
+
+
+def test_each_catalog_is_built_once_per_chain(tmp_path, capsys,
+                                              monkeypatch):
+    built = []
+    catalog = resonances._catalog
+
+    def counting_catalog(chain, *args, **kwargs):
+        built.append(chain.n_ions)
+        return catalog(chain, *args, **kwargs)
+
+    monkeypatch.setattr(resonances, "_catalog", counting_catalog)
+    sim_cfg = tmp_path / "sim.cfg"
+    sim_cfg.write_text(SIM_CONFIG)
+    for _round in range(2):
+        resonances._memo_chain.cache_clear()
+        built.clear()
+        assert run_cli(capsys, "tables", "--n", "2..10")[0] == 0
+        for n_ions in range(3, 11):
+            e = next(e for e in resonances.build_catalog(n_ions)
+                     if e.kind == resonances.SECOND_KIND and e.m != e.n)
+            for _ in range(2):
+                code, _, err = run_cli(
+                    capsys, "epsilon", "--species", "Ca40", "--omega3", "2e6",
+                    "--n", str(n_ions), "--resonance", f"{e.m},{e.n},{e.p}")
+                assert code == 0, err
+        code, _, err = run_cli(capsys, "simulate", str(sim_cfg))
+        assert code == 0, err
+        # cleared memo: every chain builds its catalog again, and only once
+        assert built == list(range(2, 11))
+
+    entries = resonances.build_catalog(6)
+    want = list(entries)
+    pick = next(e for e in entries if e.kind == resonances.SECOND_KIND)
+    entries.clear()
+    assert resonances.build_catalog(6) == want
+    assert resonances.build_catalog(6) is not resonances.build_catalog(6)
+    chain = resonances._solve_chain(6)
+    assert cli._find_entry(chain, pick.m, pick.n, pick.p) is pick
+    assert built == list(range(2, 11))
 
 
 PLAIN_TABLE = "ion  u        \n1    -0.629961\n2    0.629961 \n"

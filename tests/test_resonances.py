@@ -233,6 +233,11 @@ def test_memoised_chain_is_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 1.0
         assert not arr.flags.writeable, name
+    with pytest.raises(TypeError):
+        chain.resonances[(5, 5, 6)] = None
+    # the positions memo has no catalog cap and shares its arrays too
+    u = resonances._positions(40)
+    assert resonances._positions(40) is u and not u.flags.writeable
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -247,6 +252,9 @@ def test_memoised_chain_equals_a_fresh_solve_bit_for_bit(n):
     assert warm.alpha_crit == fresh.alpha_crit
     assert warm.probe.alpha == fresh.probe.alpha
     assert warm.tensors.stretch_norm == fresh.tensors.stretch_norm
+    assert list(warm.resonances.items()) == list(fresh.resonances.items())
+    # the uncached chain reads the positions memo; check it against a solve
+    assert warm.u.tobytes() == equilibrium_mod.solve_equilibrium(n).tobytes()
 
 
 def test_chain_memo_is_bounded_and_keyed_by_length_alone():
