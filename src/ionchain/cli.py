@@ -340,11 +340,11 @@ def cmd_tables(args) -> int:
     for n_ions in range(lo, hi + 1):
         chain = resonances_mod._solve_chain(n_ions)
         bound_rows.append((n_ions,
-                           float(resonances_mod.alpha_min(chain.mu)),
+                           float(resonances_mod.alpha_min(chain.probe.mu)),
                            float(chain.alpha_crit)))
         for entry in chain.resonances.values():
             row = (entry.n_ions, entry.m, entry.n, entry.p,
-                   float(entry.coupling), float(entry.alpha_res))
+                   entry.coupling, entry.alpha_res)
             if entry.kind == resonances_mod.FIRST_KIND:
                 first_rows.append(row)
             else:
@@ -372,10 +372,10 @@ def cmd_epsilon(args) -> int:
         m, n, p = _parse_resonance(args.resonance)
         chain = resonances_mod._solve_chain(args.n)
         entry = _find_entry(chain, m, n, p)
-        coef = quantum_mod.rwa_coefficient(entry, chain.mu)
+        coef = quantum_mod.rwa_coefficient(entry, chain.probe.mu)
         rate = eps * omega3 * coef
         headers += ["alpha_res", "rate_over_eps_omega3", "Gamma_over_2pi_hz"]
-        row += [float(entry.alpha_res), float(coef),
+        row += [entry.alpha_res, float(coef),
                 float(rate / (2.0 * np.pi))]
         params.update(n=args.n, resonance=[m, n, p])
     art = Artifact("nonlinearity_scale", headers, [tuple(row)])
@@ -411,7 +411,7 @@ def cmd_simulate(args) -> int:
 
     chain = resonances_mod._solve_chain(n_ions)
     entry = _find_entry(chain, *res_spec)
-    alpha = _config_get(cfg, "alpha", float(entry.alpha_res), float)
+    alpha = _config_get(cfg, "alpha", entry.alpha_res, float)
     ion = _resolve_ion(species_name, mass_u)
     omega3 = 2.0 * np.pi * omega3_hz
     eps = quantum_mod.nonlinearity_epsilon(ion, omega3)
@@ -507,7 +507,7 @@ def cmd_classical(args) -> int:
     if "alpha" in cfg:
         alpha = _config_get(cfg, "alpha", None, float)
     elif entry is not None:
-        alpha = float(entry.alpha_res)
+        alpha = entry.alpha_res
     else:
         raise ValueError("config needs either 'alpha' or 'resonance'")
     transfer = []
@@ -519,7 +519,7 @@ def cmd_classical(args) -> int:
                 f"config key 'detune' must be below 1, got {detune:g} "
                 f"(the low detuned alpha is (1 - detune) * alpha_res)")
         pair = sorted({entry.m, entry.n})
-        base_alpha = float(entry.alpha_res)
+        base_alpha = entry.alpha_res
         transfer = [("resonant", base_alpha),
                     ("detuned_low", (1.0 - detune) * base_alpha),
                     ("detuned_high", (1.0 + detune) * base_alpha)]

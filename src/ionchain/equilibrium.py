@@ -22,6 +22,9 @@ __all__ = [
     "solve_equilibrium",
 ]
 
+RESIDUAL_TOL = 1e-12  # Newton stops once the residual sup-norm is below
+MAX_ITER = 200  # and gives up after this many steps
+
 
 @dataclass(frozen=True)
 class IonSpecies:
@@ -86,7 +89,7 @@ def _initial_guess(n: int) -> np.ndarray:
     return scale * centred
 
 
-def solve_equilibrium(n_ions: int, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
+def solve_equilibrium(n_ions: int) -> np.ndarray:
     """Dimensionless equilibrium positions of n_ions ions, sorted ascending.
 
     Damped Newton iteration on the force-balance residual, whose Jacobian
@@ -95,10 +98,11 @@ def solve_equilibrium(n_ions: int, tol: float = 1e-12, max_iter: int = 200) -> n
     ordering. The converged solution is symmetrized about the origin,
     which the exact solution respects.
 
-    Raises ConvergenceError if the residual sup-norm is not below tol
-    within max_iter iterations.
+    Raises ConvergenceError if the residual sup-norm is not below
+    RESIDUAL_TOL within MAX_ITER iterations, or if 60 halvings of a step
+    do not reduce it.
 
-    Tested limit: with the default absolute tol = 1e-12 it converges at
+    Tested limit: with the absolute RESIDUAL_TOL = 1e-12 it converges at
     every N tried up to 130, in 8 residual evaluations from N = 50 on.
     From N = 140 it can stall with a ConvergenceError, because the
     rounding floor of the residual (1-2e-12 there) reaches the tolerance;
@@ -112,9 +116,9 @@ def solve_equilibrium(n_ions: int, tol: float = 1e-12, max_iter: int = 200) -> n
 
     u = _initial_guess(n_ions)
     res = equilibrium_residual(u)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         norm = np.max(np.abs(res))
-        if norm < tol:
+        if norm < RESIDUAL_TOL:
             break
         step = np.linalg.solve(axial_matrix(u), res)
         damping = 1.0
@@ -133,7 +137,7 @@ def solve_equilibrium(n_ions: int, tol: float = 1e-12, max_iter: int = 200) -> n
     else:
         norm = np.max(np.abs(res))
         raise ConvergenceError(
-            f"equilibrium not converged after {max_iter} iterations "
+            f"equilibrium not converged after {MAX_ITER} iterations "
             f"(residual {norm:.3e})",
             norm,
         )

@@ -79,6 +79,56 @@ class ModeBasis:
         return self.mu.size
 
 
+def _transverse_eigenvalues(mu, alpha):
+    """gamma = 1/alpha + 1/2 - mu/2, elementwise over mu (and alpha)."""
+    return (1.0 / alpha + 0.5) - 0.5 * mu
+
+
+def _spectrum(axial: np.ndarray) -> tuple:
+    """The alpha-free part of `diagonalize`: checks, eigh, degeneracy gap.
+
+    Returns ascending mu and the eigenvectors, signs not yet fixed; a
+    solved chain runs it once and passes the result to `_at_alpha`.
+    """
+    axial = np.asarray(axial, dtype=float)
+    if axial.ndim != 2 or axial.shape[0] != axial.shape[1]:
+        raise ValueError("axial matrix must be square")
+    if np.max(np.abs(axial - axial.T)) > 1e-12:
+        raise ValueError("axial matrix must be symmetric")
+
+    mu, vectors = np.linalg.eigh(axial)  # ascending eigenvalues
+    if mu.size >= 2:
+        gaps = np.diff(mu)
+        if np.min(gaps) < DEGENERACY_GAP:
+            p = int(np.argmin(gaps))
+            raise DegenerateModesError(
+                f"axial eigenvalues {p + 1} and {p + 2} are degenerate to "
+                f"{gaps[p]:.3e}; eigenvectors are not well defined"
+            )
+    return mu, vectors
+
+
+def _at_alpha(mu: np.ndarray, vectors: np.ndarray, alpha: float) -> ModeBasis:
+    """ModeBasis at alpha: zig-zag check, last-ion signs (in place), gamma."""
+    if mu.size >= 2:
+        alpha_crit = critical_anisotropy(mu)
+        if alpha >= alpha_crit:
+            raise ZigZagError(alpha, alpha_crit)
+
+    for p in range(mu.size):
+        last = vectors[-1, p]
+        if abs(last) < 1e-12:
+            raise IonChainError(
+                f"mode {p + 1} has vanishing amplitude on the last ion; "
+                "sign convention cannot be applied"
+            )
+        if last < 0.0:
+            vectors[:, p] = -vectors[:, p]
+
+    return ModeBasis(mu=mu, gamma=_transverse_eigenvalues(mu, alpha),
+                     vectors=vectors, alpha=alpha)
+
+
 def diagonalize(axial: np.ndarray, alpha: float) -> ModeBasis:
     """Diagonalize the chain's quadratic forms into a ModeBasis.
 
@@ -100,38 +150,7 @@ def diagonalize(axial: np.ndarray, alpha: float) -> ModeBasis:
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    axial = np.asarray(axial, dtype=float)
-    if axial.ndim != 2 or axial.shape[0] != axial.shape[1]:
-        raise ValueError("axial matrix must be square")
-    if np.max(np.abs(axial - axial.T)) > 1e-12:
-        raise ValueError("axial matrix must be symmetric")
-
-    mu, vectors = np.linalg.eigh(axial)  # ascending eigenvalues
-    n = mu.size
-    if n >= 2:
-        gaps = np.diff(mu)
-        if np.min(gaps) < DEGENERACY_GAP:
-            p = int(np.argmin(gaps))
-            raise DegenerateModesError(
-                f"axial eigenvalues {p + 1} and {p + 2} are degenerate to "
-                f"{gaps[p]:.3e}; eigenvectors are not well defined"
-            )
-        alpha_crit = critical_anisotropy(mu)
-        if alpha >= alpha_crit:
-            raise ZigZagError(alpha, alpha_crit)
-
-    for p in range(n):
-        last = vectors[-1, p]
-        if abs(last) < 1e-12:
-            raise IonChainError(
-                f"mode {p + 1} has vanishing amplitude on the last ion; "
-                "sign convention cannot be applied"
-            )
-        if last < 0.0:
-            vectors[:, p] = -vectors[:, p]
-
-    gamma = 1.0 / alpha + 0.5 - 0.5 * mu
-    return ModeBasis(mu=mu, gamma=gamma, vectors=vectors, alpha=alpha)
+    return _at_alpha(*_spectrum(axial), alpha)
 
 
 def mode_basis(u: np.ndarray, alpha: float) -> ModeBasis:

@@ -59,7 +59,7 @@ import numpy as np
 from . import constants
 from .equilibrium import IonSpecies, length_scale
 from .errors import NoResonantCouplingError
-from .modes import ModeBasis
+from .modes import ModeBasis, _transverse_eigenvalues
 from .coupling import CouplingTensors
 from .resonances import MATCH_TOL, ResonanceEntry, SECOND_KIND
 
@@ -124,11 +124,9 @@ def rwa_coefficient(entry: ResonanceEntry, mu) -> float:
             "two distinct transverse modes"
         )
     mu = np.asarray(mu, dtype=float)
-    base = 1.0 / entry.alpha_res + 0.5
-    gm = base - 0.5 * mu[entry.m - 1]
-    gn = base - 0.5 * mu[entry.n - 1]
-    mp = mu[entry.p - 1]
-    return 6.0 * entry.coupling / (mp * gm * gn) ** 0.25
+    gm, gn = _transverse_eigenvalues(mu[[entry.m - 1, entry.n - 1]],
+                                     entry.alpha_res)
+    return 6.0 * entry.coupling / (mu[entry.p - 1] * gm * gn) ** 0.25
 
 
 # --- basis and states ---------------------------------------------------

@@ -18,7 +18,8 @@ The formulas are written once and evaluated as numpy expressions over
 arrays of triples: every (p, i <= j) of a chain goes through that kernel
 at once, when the chain is solved, and `build_catalog` and the CLI read
 the catalog the chain keeps. The scalar `delta`, `candidate_alpha` and
-`classify` are the one-triple case of the same code.
+`classify` are the one-triple case of the same code. gamma is `modes`'
+formula, and mu is the chain's one axial spectrum (see `_Chain`).
 """
 
 import functools
@@ -54,10 +55,6 @@ COUPLING_FLOOR = 1e-12
 _CHAIN_MEMO_SIZE = 16
 
 
-def _transverse_eigenvalue(mu_p, alpha):
-    return 1.0 / alpha + 0.5 - 0.5 * mu_p
-
-
 def _first_failing(values, ok):
     """The first element of values (broadcast to ok) where ok is false."""
     return np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)].flat[0]
@@ -77,8 +74,8 @@ def delta(mu_m, mu_n, mu_p, alpha, sign: int):
     if not np.all(positive):
         raise ValueError(
             f"alpha must be positive, got {_first_failing(alpha, positive)}")
-    gm = _transverse_eigenvalue(mu_m, alpha)
-    gn = _transverse_eigenvalue(mu_n, alpha)
+    gm = modes_mod._transverse_eigenvalues(mu_m, alpha)
+    gn = modes_mod._transverse_eigenvalues(mu_n, alpha)
     linear = (gm > 0.0) & (gn > 0.0)
     if not np.all(linear):
         raise ValueError(
@@ -228,35 +225,33 @@ class ResonanceEntry:
 class _Chain:
     """One solved chain: what the catalog and the CLI read from it.
 
-    mu are the axial eigenvalues from eigvalsh and alpha_crit the zig-zag
-    threshold they give. probe is the mode basis at half that threshold
-    and tensors its cubic couplings. The probe's own mu come from eigh
-    and can differ from mu in the last few ulps; the catalog reads those,
-    the bounds and rates read mu. Eigenvectors and mu do not depend on alpha,
-    so the probe's vectors, and with them the mode tensor, hold at every
-    stable alpha. resonances maps (p, min(m, n), max(m, n)) to the catalog
-    entry, in (p, m, n) order. All of it is read-only: one memoised chain
-    is shared by every caller in the process.
+    One eigh of the axial matrix gives probe, the mode basis at half the
+    zig-zag threshold alpha_crit; probe.mu is the one spectrum that
+    alpha_crit, the catalog, alpha_min and the rates read (James, Appl.
+    Phys. B 66, 181 (1998)), bit-equal to the mu of any `mode_basis(u,
+    alpha)`. tensors are the probe's cubic couplings; they hold at every
+    stable alpha, as the eigenvectors do. resonances maps (p, min(m, n),
+    max(m, n)) to the catalog entry, in (p, m, n) order. All of it is
+    read-only (u from `_positions`): one memoised chain is shared by
+    every caller in the process.
     """
 
     u: np.ndarray
-    mu: np.ndarray
-    alpha_crit: float
     probe: modes_mod.ModeBasis
     tensors: coupling_mod.CouplingTensors
     resonances: MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("u", "mu"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
         object.__setattr__(self, "resonances", MappingProxyType(
             {(e.p, min(e.m, e.n), max(e.m, e.n)): e for e in _catalog(self)}))
 
     @property
     def n_ions(self) -> int:
         return self.u.size
+
+    @property
+    def alpha_crit(self) -> float:
+        return modes_mod.critical_anisotropy(self.probe.mu)
 
 
 def _check_length(n_ions: int, n_cap: int = 10) -> None:
@@ -292,13 +287,11 @@ def _positions(n_ions: int) -> np.ndarray:
 def _memo_chain(n_ions: int) -> _Chain:
     """The solve behind `_solve_chain`; `__wrapped__` builds a fresh chain."""
     u = _positions(n_ions)
-    axial = modes_mod.axial_matrix(u)
-    mu = np.linalg.eigvalsh(axial)
-    alpha_crit = modes_mod.critical_anisotropy(mu)
-    probe = modes_mod.diagonalize(axial, alpha=0.5 * alpha_crit)
+    mu, vectors = modes_mod._spectrum(modes_mod.axial_matrix(u))
+    probe = modes_mod._at_alpha(mu, vectors,
+                                0.5 * modes_mod.critical_anisotropy(mu))
     tensors = coupling_mod.coupling_tensors(u, probe)
-    return _Chain(u=u, mu=mu, alpha_crit=alpha_crit, probe=probe,
-                  tensors=tensors)
+    return _Chain(u=u, probe=probe, tensors=tensors)
 
 
 def _catalog(chain: _Chain, tol: float = MATCH_TOL):
@@ -333,7 +326,7 @@ def _catalog(chain: _Chain, tol: float = MATCH_TOL):
             n=int(n[k]),
             p=int(p[k]),
             kind=SECOND_KIND if second[k] else FIRST_KIND,
-            alpha_res=alpha[k],
+            alpha_res=float(alpha[k]),
             coupling=float(coupling[k]),
             delta_residual=float(residual[k]),
         )

@@ -1,3 +1,4 @@
+import inspect
 import subprocess
 import sys
 
@@ -61,6 +62,12 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 51
     assert sorted(ionchain.__all__) == PUBLIC_NAMES
+
+
+def test_narrowed_surface_is_pinned():
+    # the solver's tolerance knobs are module constants, not parameters
+    params = inspect.signature(ionchain.solve_equilibrium).parameters
+    assert list(params) == ["n_ions"]
 
 
 def test_every_public_name_resolves():

@@ -104,6 +104,28 @@ def test_epsilon_with_resonance_target(capsys):
     assert float(row["Gamma_over_2pi_hz"]) > 1e3
 
 
+def test_epsilon_rate_equals_the_simulate_coefficient_bit_for_bit(capsys):
+    # epsilon and simulate read the one spectrum of the chain, so the rate
+    # printed at full precision is the coefficient simulate propagates with
+    checked = 0
+    for n_ions in range(3, 11):
+        chain = resonances._solve_chain(n_ions)
+        for entry in chain.resonances.values():
+            if entry.kind != resonances.SECOND_KIND or entry.m == entry.n:
+                continue
+            code, out, _ = run_cli(
+                capsys, "epsilon", "--species", "Ca40", "--omega3", "2.0e6",
+                "--n", str(n_ions), "--resonance",
+                f"{entry.m},{entry.n},{entry.p}", "--precision", "17",
+                "--format", "csv")
+            assert code == 0
+            basis = modes.mode_basis(chain.u, entry.alpha_res)
+            want = quantum.rwa_coefficient(entry, basis.mu)
+            assert float(parse_csv(out)[0]["rate_over_eps_omega3"]) == want
+            checked += 1
+    assert checked == 100
+
+
 # --- failure modes ------------------------------------------------------
 
 def test_bad_count_is_a_usage_error(capsys):

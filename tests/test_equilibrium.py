@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ionchain import equilibrium
 from ionchain.constants import ATOMIC_MASS
+from ionchain.errors import ConvergenceError
 
 
 def test_two_ions_closed_form():
@@ -53,6 +54,22 @@ def test_residual_rejects_coincident_ions():
 def test_invalid_ion_count():
     with pytest.raises(ValueError):
         equilibrium.solve_equilibrium(0)
+
+
+def test_stalled_damping_raises(monkeypatch):
+    # no residual is below 0, so Newton runs into the rounding floor
+    monkeypatch.setattr(equilibrium, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(ConvergenceError, match="damping stalled") as err:
+        equilibrium.solve_equilibrium(5)
+    assert 0.0 <= err.value.residual_norm < 1e-12
+
+
+def test_iteration_limit_raises(monkeypatch):
+    monkeypatch.setattr(equilibrium, "MAX_ITER", 1)
+    with pytest.raises(ConvergenceError,
+                       match="not converged after 1 iterations") as err:
+        equilibrium.solve_equilibrium(5)
+    assert err.value.residual_norm > equilibrium.RESIDUAL_TOL
 
 
 def test_species_registry():

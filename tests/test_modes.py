@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionchain import equilibrium, modes
-from ionchain.errors import DegenerateModesError, ZigZagError
+from ionchain.errors import DegenerateModesError, IonChainError, ZigZagError
 
 
 def basis_for(n, alpha):
@@ -69,6 +69,18 @@ def test_zigzag_rejected():
     assert "zig-zag" in str(err.value)
     # just inside the window is fine
     modes.diagonalize(axial, alpha=0.999 * crit)
+
+
+def test_zigzag_is_reported_before_the_sign_convention():
+    # at N = 40 some mode has no amplitude on the last ion, which only a
+    # stable alpha gets far enough to report
+    axial = modes.axial_matrix(equilibrium.solve_equilibrium(40))
+    crit = modes.critical_anisotropy(np.linalg.eigvalsh(axial))
+    with pytest.raises(ZigZagError):
+        modes.diagonalize(axial, alpha=2.0 * crit)
+    with pytest.raises(IonChainError, match="vanishing amplitude") as err:
+        modes.diagonalize(axial, alpha=0.5 * crit)
+    assert not isinstance(err.value, ZigZagError)
 
 
 def test_degenerate_spectrum_rejected():

@@ -136,11 +136,13 @@ def _reference_catalog(n_ions, n_cap=10):
     u = equilibrium_mod.solve_equilibrium(n_ions)
     axial = modes_mod.axial_matrix(u)
     # Eigenvectors and mu do not depend on alpha; any stable alpha works
-    # for extracting the coupling tensor, so probe at half the threshold.
-    alpha_crit = modes_mod.critical_anisotropy(np.linalg.eigvalsh(axial))
-    probe = modes_mod.diagonalize(axial, alpha=0.5 * alpha_crit)
+    # for extracting the coupling tensor, so probe near half the threshold.
+    probe = modes_mod.diagonalize(
+        axial,
+        alpha=0.5 * modes_mod.critical_anisotropy(np.linalg.eigvalsh(axial)))
     tensors = coupling_mod.coupling_tensors(u, probe)
     mu = probe.mu
+    alpha_crit = modes_mod.critical_anisotropy(mu)
 
     entries = []
     for p in range(2, n_ions + 1):
@@ -188,7 +190,7 @@ def test_vectorised_catalog_matches_the_triple_loop(n):
     assert len(cat) == len(ref)
     # two ulps of the largest term, sqrt(mu_N): every delta term is at most
     # that large, and numpy takes **0.5 of an array as sqrt, of a scalar as pow
-    mu_top = resonances._solve_chain(n, n_cap=max(n, 10)).mu[-1]
+    mu_top = resonances._solve_chain(n, n_cap=max(n, 10)).probe.mu[-1]
     residual_tol = 2.0 * np.spacing(np.sqrt(mu_top))
     for got, want in zip(cat, ref):
         # same entry, same place, every printed field bit-equal
@@ -197,6 +199,36 @@ def test_vectorised_catalog_matches_the_triple_loop(n):
         assert got.alpha_res == want.alpha_res
         assert got.coupling == want.coupling
         assert abs(got.delta_residual - want.delta_residual) <= residual_tol
+
+
+def test_entry_fields_are_plain_python_numbers(catalogs):
+    for n in range(2, 11):
+        for entry in catalogs[n]:
+            for name in ("n_ions", "m", "n", "p"):
+                assert type(getattr(entry, name)) is int, name
+            for name in ("alpha_res", "coupling", "delta_residual"):
+                assert type(getattr(entry, name)) is float, name
+
+
+def test_chain_reads_one_spectrum_from_one_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        counted("eigvalsh", np.linalg.eigvalsh))
+    chain = resonances._memo_chain.__wrapped__(6)
+    assert calls == ["eigh"]
+    assert not hasattr(chain, "mu")
+    assert chain.probe.alpha == 0.5 * chain.alpha_crit
+    assert chain.probe.mu.tobytes() == modes_mod.mode_basis(
+        chain.u, 0.01).mu.tobytes()
 
 
 def test_vectorised_kernel_reports_ambiguity_for_loose_tolerance():
@@ -219,7 +251,7 @@ def test_array_inputs_name_the_first_failing_triple():
 # --- the per-process chain memo -------------------------------------------
 
 def _chain_arrays(chain):
-    return {"u": chain.u, "mu": chain.mu, "probe.mu": chain.probe.mu,
+    return {"u": chain.u, "probe.mu": chain.probe.mu,
             "probe.gamma": chain.probe.gamma,
             "probe.vectors": chain.probe.vectors,
             "tensors.ion": chain.tensors.ion,
@@ -249,7 +281,6 @@ def test_memoised_chain_equals_a_fresh_solve_bit_for_bit(n):
     for name, arr in _chain_arrays(warm).items():
         assert arr.dtype == fresh_arrays[name].dtype
         assert arr.tobytes() == fresh_arrays[name].tobytes(), name
-    assert warm.alpha_crit == fresh.alpha_crit
     assert warm.probe.alpha == fresh.probe.alpha
     assert warm.tensors.stretch_norm == fresh.tensors.stretch_norm
     assert list(warm.resonances.items()) == list(fresh.resonances.items())
