@@ -18,6 +18,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -199,6 +200,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     if value <= 0.0:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     return value
@@ -388,9 +391,14 @@ def _config_get(cfg: dict, key: str, default, cast):
             raise ValueError(f"config key {key!r} is required")
         return default
     try:
-        return cast(cfg[key])
+        value = cast(cfg[key])
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: {exc}")
+    # a NaN is left to the range check that the caller or the library
+    # applies next, which it fails
+    if value in (math.inf, -math.inf):
+        raise ValueError(f"config key {key!r} must be finite, got {cfg[key]}")
+    return value
 
 
 def cmd_simulate(args) -> int:
@@ -403,6 +411,10 @@ def cmd_simulate(args) -> int:
     cutoff = _config_get(cfg, "cutoff", 2, int)
     duration = _config_get(cfg, "duration", float(2.0 * np.pi), float)
     samples = _config_get(cfg, "samples", 201, int)
+    # NaN fails these comparisons too
+    for key, value in (("omega3", omega3_hz), ("duration", duration)):
+        if not value > 0.0:
+            raise ValueError(f"config key '{key}' must be > 0, got {value:g}")
     if samples < 2:
         raise ValueError("config key 'samples' must be at least 2")
     flavor = args.mode or cfg.get("mode", "rwa")
@@ -665,24 +677,157 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the action kinds the dispatch table models, exactly: a store of one
+# value, and the help and subparsers actions
+_TABLE_ACTIONS = (argparse._StoreAction, argparse._HelpAction,
+                  argparse._SubParsersAction)
+
+
+def _namespace_defaults(parser) -> dict:
+    """The attributes argparse gives a namespace before reading arguments.
+
+    Each action's default (the first action of a dest wins), then the
+    parser's `set_defaults`. A string default goes through its action's
+    type, as argparse does when the action is absent.
+    """
+    values = {}
+    for action in parser._actions:
+        if (action.dest is not argparse.SUPPRESS
+                and action.default is not argparse.SUPPRESS
+                and action.dest not in values):
+            values[action.dest] = (
+                parser._get_value(action, action.default)
+                if isinstance(action.default, str) else action.default)
+    for dest, value in parser._defaults.items():
+        values.setdefault(dest, value)
+    return values
+
+
+def _dispatch_table(parser: argparse.ArgumentParser) -> dict:
+    """Per subcommand name, what `_table_parse` needs to parse its lines.
+
+    Each entry is (options, positionals, required, defaults), read from
+    the parser's own actions: the store action of each exact option
+    string with its type function, the positional actions in order with
+    theirs, the required actions, and the namespace argparse starts from
+    (the top-level defaults, the subcommand name, then the subcommand's
+    defaults). Raises TypeError on an action or a parser feature the
+    table does not model.
+    """
+    def check(parser, kinds):
+        if (parser.prefix_chars != "-" or parser.fromfile_prefix_chars
+                or parser._mutually_exclusive_groups):
+            raise TypeError(f"{parser.prog}: the dispatch table does not "
+                            f"model prefixes other than '-', argument files "
+                            f"or groups")
+        for action in parser._actions:
+            if type(action) not in kinds or (
+                    type(action) is argparse._StoreAction
+                    and action.nargs is not None):
+                raise TypeError(f"{parser.prog}: the dispatch table does not "
+                                f"model {type(action).__name__} "
+                                f"{action.option_strings or action.dest}")
+
+    check(parser, _TABLE_ACTIONS)
+    (commands,) = [a for a in parser._actions
+                   if type(a) is argparse._SubParsersAction]
+    table = {}
+    for name, sub in commands.choices.items():
+        check(sub, _TABLE_ACTIONS[:2])
+        options, positionals = {}, []
+        for action in sub._actions:
+            if type(action) is argparse._HelpAction:
+                continue
+            slot = (action, sub._registry_get("type", action.type,
+                                              action.type))
+            for option in action.option_strings:
+                # argparse reads every token at the top level first, and
+                # stops at a prefix of two top-level options
+                if (option not in parser._option_string_actions
+                        and len(parser._get_option_tuples(option)) > 1):
+                    raise TypeError(f"{sub.prog}: the dispatch table does "
+                                    f"not model {option}, an ambiguous "
+                                    f"prefix at the top level")
+                options[option] = slot
+            if not action.option_strings:
+                positionals.append(slot)
+        defaults = _namespace_defaults(parser)
+        if commands.dest is not argparse.SUPPRESS:
+            defaults[commands.dest] = name
+        defaults.update(_namespace_defaults(sub))
+        required = frozenset(a for a in sub._actions if a.required)
+        table[name] = (options, tuple(positionals), required, defaults)
+    return table
+
+
+def _table_parse(table: dict, argv: list):
+    """The namespace `parse_args(argv)` returns, or None to defer to it.
+
+    Accepts only a subcommand name followed by exact option strings, each
+    with a value that does not start with "-", and positionals while
+    slots remain; every value must pass its type and choices, and every
+    required argument must be given. Anything else (help, abbreviations,
+    "--opt=value", "--", global options, a bad value) is declined.
+    """
+    if not argv or not isinstance(argv[0], str) or argv[0] not in table:
+        return None
+    options, positionals, required, defaults = table[argv[0]]
+    values = dict(defaults)
+    seen = set()
+    n_pos = 0
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not isinstance(token, str):
+            return None
+        if token[:1] == "-":
+            slot = options.get(token)
+            text = next(tokens, None)
+            if slot is None or not isinstance(text, str) or text[:1] == "-":
+                return None
+        elif n_pos < len(positionals):
+            slot, text = positionals[n_pos], token
+            n_pos += 1
+        else:
+            return None
+        action, convert = slot
+        try:
+            value = convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 @functools.lru_cache(maxsize=1)
-def _main_parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built once per process.
+def _main_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser `main` uses and its dispatch table, built once per process.
 
     Parsing leaves a parser unchanged, so every call can share one. It is
     kept apart from what `build_parser` returns, so a caller that changes
     that parser does not change what `main` accepts.
     """
-    return build_parser()
+    parser = build_parser()
+    return parser, _dispatch_table(parser)
 
 
 def main(argv=None) -> int:
-    try:
-        args = _main_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits on --help (0) and on a usage error (2); return
-        # the code so an in-process caller gets it like a shell does
-        return exc.code
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, table = _main_parser()
+    # a well-formed line is one table read; anything else goes through
+    # argparse, which gives help, messages and exit codes
+    args = _table_parse(table, argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits on --help (0) and on a usage error (2); return
+            # the code so an in-process caller gets it like a shell does
+            return exc.code
     args._t0 = time.perf_counter()
     try:
         return args.func(args)

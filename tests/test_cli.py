@@ -1,9 +1,11 @@
+import argparse
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +269,48 @@ def test_bad_mode_amplitude(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classical", str(cfg))
     assert code == 1
     assert "bad mode amplitude" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["epsilon", "--species", "Ca40", "--omega3", "inf"], "inf"),
+    (["epsilon", "--species", "Ca40", "--omega3=-inf"], "-inf"),
+    (["epsilon", "--mass-u", "inf", "--omega3", "1e6"], "inf"),
+    (["equilibrium", "--n", "3", "--species", "Ca40", "--omega3", "inf"],
+     "inf"),
+    (["equilibrium", "--n", "3", "--species", "Ca40", "--omega3", "nan"],
+     "nan"),
+    (["modes", "--n", "3", "--alpha", "1e400"], "1e400"),
+])
+def test_non_finite_flag_is_a_usage_error(capsys, argv, text):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"not a finite number: {text!r}" in err
+
+
+@pytest.mark.parametrize("key", ["dt", "t_final", "detune", "alpha"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+def test_classical_non_finite_config_fails_before_integration(
+        tmp_path, capsys, monkeypatch, key, value):
+    _assert_fails_before_integration(
+        tmp_path, capsys, monkeypatch, f"n = 2\nalpha = 0.5\n{key} = {value}\n",
+        f"config key '{key}' must be finite, got {value}")
+
+
+@pytest.mark.parametrize("config, message", [
+    (f"{key} = {value}\n", f"config key '{key}' must be finite, got {value}")
+    for key in ("omega3", "duration", "alpha", "mass_u")
+    for value in ("inf", "-inf", "1e400")
+] + [
+    (f"{key} = nan\n", f"config key '{key}' must be > 0, got nan")
+    for key in ("omega3", "duration")
+])
+def test_simulate_non_finite_config_is_a_domain_error(tmp_path, capsys,
+                                                      config, message):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG + config)
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 1 and out == ""
+    assert message in err
 
 
 # --- table formatting ---------------------------------------------------
@@ -791,6 +835,145 @@ def test_changing_a_built_parser_leaves_main_alone(capsys):
         assert cli.main(["--extra=1", "equilibrium", "--n", "2"]) == 2
         assert "unrecognized arguments: --extra=1" in capsys.readouterr().err
         assert run_cli(capsys, "equilibrium", "--n", "2")[1] == PLAIN_TABLE
+
+
+# --- parsing through the dispatch table ----------------------------------
+
+def _subcommands(parser):
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+_COMMANDS = _subcommands(cli.build_parser())
+_OPTIONS = sorted({option for parser in [cli.build_parser(),
+                                         *_COMMANDS.values()]
+                   for action in parser._actions
+                   for option in action.option_strings})
+# values each destination accepts, and words any argument may meet
+_GOOD = {"n": ["2", "6", "2..10"], "alpha": ["0.05"], "omega3": ["2e6"],
+         "mass_u": ["40"], "species": ["Ca40", ""], "resonance": ["6,5,5"],
+         "format": ["table", "csv", "json"], "precision": ["1", "17"],
+         "mode": ["rwa", "full", "both"], "output_dir": ["out"],
+         "config": ["sim.cfg"]}
+_HOSTILE = ["0", "ten", "1..2", "xml", "--prec", "--n=3", "--format=csv",
+            "--", "-h", "--help", "-1", "-2e6", "", "inf", "nan", "1e400",
+            "-", "bogus", "--bogus", "a b", *_OPTIONS, *_COMMANDS]
+
+
+@st.composite
+def _argvs(draw):
+    """Command lines of one subcommand: its own options with good values,
+    now and then a hostile word, a repeat or a missing argument."""
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    actions = [a for a in _COMMANDS[name]._actions
+               if not isinstance(a, argparse._HelpAction)]
+    hostile = st.sampled_from(_HOSTILE)
+
+    def tokens(action):
+        good = st.sampled_from(_GOOD[action.dest])
+        value = draw(st.one_of(good, hostile)
+                     if draw(st.integers(0, 4)) == 0 else good)
+        option = (draw(st.sampled_from(action.option_strings))
+                  if action.option_strings else None)
+        return [option, value] if option else [value]
+
+    parts = [tokens(a) for a in actions if a.required
+             and draw(st.integers(0, 9))]
+    parts += [tokens(draw(st.sampled_from(actions)))
+              for _ in range(draw(st.integers(0, 4)))]
+    parts += [[draw(hostile)] for _ in range(draw(st.integers(0, 1)))]
+    order = draw(st.permutations(range(len(parts))))
+    head = [] if draw(st.integers(0, 19)) == 0 else [name]
+    return head + [t for k in order for t in parts[k]]
+
+
+BENCH_LINES = [
+    ["tables", "--n", "2..10"],
+    ["epsilon", "--species", "Ca40", "--omega3", "2000000.0", "--n", "6",
+     "--resonance", "6,5,5", "--precision", "17"],
+    ["simulate", "sim.cfg", "--precision", "17"],
+    ["classical", "classical.cfg"],
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_argvs())
+@example(argv=BENCH_LINES[1])
+@example(argv=["epsilon", "--omega3", "2e6", "--omega3", "1e6", "--n", "6"])
+@example(argv=["simulate", "sim.cfg", "--mode", "full", "--format", "json"])
+@example(argv=["equilibrium", "--n", "2", "--species", ""])
+@example(argv=["epsilon", "--omega3", "2e6", "--species", "-x"])
+def test_dispatch_table_agrees_with_parse_args(argv):
+    parser, table = cli._main_parser()
+    fast = cli._table_parse(table, argv)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            slow = vars(parser.parse_args(argv))
+        except SystemExit:
+            slow = None
+    # a line argparse rejects is declined; an accepted one parses the same
+    assert fast is None or vars(fast) == slow
+
+
+def test_dispatch_table_models_every_subcommand_option():
+    parser, table = cli._main_parser()
+    assert sorted(table) == sorted(_COMMANDS)
+    for name, sub in _subcommands(parser).items():
+        options, positionals, required, _ = table[name]
+        stores = [a for a in sub._actions
+                  if not isinstance(a, argparse._HelpAction)]
+        for action in stores:
+            assert type(action) is argparse._StoreAction
+            assert action.nargs is None
+        assert {o: a for o, (a, _) in options.items()} == {
+            o: a for a in stores for o in a.option_strings}
+        assert [a for a, _ in positionals] == [
+            a for a in stores if not a.option_strings]
+        assert required == {a for a in stores if a.required}
+
+
+@pytest.mark.parametrize("add", [
+    lambda top, sub: sub.add_argument("--flag", action="store_true"),
+    lambda top, sub: sub.add_argument("--many", action="append"),
+    lambda top, sub: sub.add_argument("--pair", nargs=2),
+    lambda top, sub: sub.add_argument("extra", nargs="?"),
+    lambda top, sub: sub.add_mutually_exclusive_group().add_argument("--one"),
+    lambda top, sub: sub.add_subparsers().add_parser("deeper"),
+    lambda top, sub: setattr(sub, "fromfile_prefix_chars", "@"),
+    # argparse stops `tables --n 3` at the top level: --n could be either
+    lambda top, sub: [top.add_argument(o) for o in ("--nx", "--ny")],
+])
+def test_dispatch_table_refuses_what_it_does_not_model(add):
+    parser = cli.build_parser()
+    add(parser, _subcommands(parser)["tables"])
+    with pytest.raises(TypeError, match="dispatch table does not model"):
+        cli._dispatch_table(parser)
+
+
+def test_bench_command_lines_skip_parse_args(tmp_path, capsys, monkeypatch):
+    (tmp_path / "sim.cfg").write_text(SIM_CONFIG.replace("both", "rwa"))
+    (tmp_path / "classical.cfg").write_text(
+        "n = 2\nalpha = 0.5\nt_final = 1\ndisplacement = z2:1e-3\n")
+    monkeypatch.chdir(tmp_path)
+
+    def no_parse_args(*args, **kwargs):
+        raise AssertionError("a bench command line reached parse_args")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", no_parse_args)
+    for argv in BENCH_LINES:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out and err == "", argv
+
+
+def test_clearing_the_parser_memo_rebuilds_the_table():
+    parser, table = cli._main_parser()
+    cli._main_parser.cache_clear()
+    rebuilt, new_table = cli._main_parser()
+    assert rebuilt is not parser and new_table is not table
+    action, _ = new_table["tables"][0]["--n"]
+    assert action in _subcommands(rebuilt)["tables"]._actions
+    assert action not in _subcommands(parser)["tables"]._actions
 
 
 def test_console_script_entry_point():
