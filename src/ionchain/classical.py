@@ -48,6 +48,10 @@ POSITION_BOUND = 1.0e3
 # the wobble and expose genuine secular drift.
 DRIFT_WINDOW = 0.1
 
+# Samples per block of the total-energy pass of `integrate_batch`: the pair
+# temporaries of `_potential_offset` then span one block, not the run.
+_ENERGY_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -225,9 +229,13 @@ def _potential_offset(pos: np.ndarray, ref: np.ndarray,
     cross = 2.0 * np.einsum("pk,...pk->...p", d0, dz) + dz2
     r0 = np.sqrt(r02)
     r = np.sqrt(r02 + cross)
-    # 1/r - 1/r0 = (r0^2 - r^2) / (r * r0 * (r + r0))
-    coulomb = np.sum(-cross / (r * r0 * (r + r0)), axis=-1)
-    return trap + coulomb
+    # 1/r - 1/r0 = (r0^2 - r^2) / (r * r0 * (r + r0)), summed over the
+    # pairs as a left fold: `sum` folds the pair-outermost layout of two
+    # or more samples but sums one sample's contiguous row pairwise
+    terms = -cross / (r * r0 * (r + r0))
+    if not terms.shape[-1]:
+        return trap + 0.0
+    return trap + np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 def _assemble_initial(u: np.ndarray, basis: ModeBasis,
@@ -277,6 +285,12 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
     conditions into positions.  Each member comes out exactly as a run
     of its own would, and a member that runs away stops the whole batch
     with an error naming its alpha.
+
+    Each member's total energy is computed over blocks of
+    `_ENERGY_BLOCK` samples.  The potential offset builds several
+    (samples, pairs, 3) temporaries, which over the whole run would
+    outweigh the stored trajectory; every operation is per sample, so the
+    blocks change no bit of the result.
     """
     u = np.asarray(u, dtype=float)
     if not bases:
@@ -352,8 +366,13 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
     times = np.arange(0, n_steps + 1, stride) * dt
     out = []
     for basis, member_pos, member_vel in zip(bases, traj_pos, traj_vel):
-        kinetic = 0.5 * np.sum(member_vel * member_vel, axis=(-2, -1))
-        energy = kinetic + _potential_offset(member_pos, eq_pos, basis.alpha)
+        energy = np.empty(samples)
+        for start in range(0, samples, _ENERGY_BLOCK):
+            block = slice(start, start + _ENERGY_BLOCK)
+            vel_block = member_vel[block]
+            kinetic = 0.5 * np.sum(vel_block * vel_block, axis=(-2, -1))
+            energy[block] = kinetic + _potential_offset(
+                member_pos[block], eq_pos, basis.alpha)
         out.append(Trajectory(times=times, positions=member_pos,
                               velocities=member_vel, total_energy=energy))
     return out

@@ -50,6 +50,11 @@ def _fmt(value, precision: int) -> str:
 # cell types that %-formatting renders exactly as `_fmt` does
 _PLAIN_FLOATS = frozenset((float, np.float64))
 
+# Rows per block that a renderer formats and writes at a time, so a long
+# table (the classical energies) is never held as one list of cells or as
+# one string.
+_ROW_BLOCK = 256
+
 
 def _json_cell(value, precision: int):
     """A cell as JSON holds it: floats rounded through `_fmt`, ints exact."""
@@ -58,6 +63,20 @@ def _json_cell(value, precision: int):
     if isinstance(value, (int, np.integer)):
         return int(value)
     return value
+
+
+def _row_blocks(rows):
+    """rows in blocks of `_ROW_BLOCK`; a block of an array as Python lists.
+
+    Rows that fill at most one block come back as they are, uncopied.
+    """
+    if isinstance(rows, np.ndarray):
+        return (rows[k:k + _ROW_BLOCK].tolist()
+                for k in range(0, len(rows), _ROW_BLOCK))
+    if len(rows) > _ROW_BLOCK:
+        return (rows[k:k + _ROW_BLOCK]
+                for k in range(0, len(rows), _ROW_BLOCK))
+    return (rows,) if rows else ()
 
 
 def _format_columns(rows: list, precision: int, cell=_fmt,
@@ -81,13 +100,35 @@ def _format_columns(rows: list, precision: int, cell=_fmt,
     return columns
 
 
+def _compact(cells: list):
+    """A formatted column as one newline-joined string, unless a cell
+    holds a newline itself; `str.split("\\n")` gives the cells back."""
+    joined = "\n".join(cells)
+    return joined if joined.count("\n") == len(cells) - 1 else cells
+
+
+def _rendered(write, precision: int) -> str:
+    buf = io.StringIO()
+    write(buf, precision)
+    return buf.getvalue()
+
+
 class Artifact:
     """One named table destined for stdout or a file.
 
-    Every row holds one cell per header.
+    rows is a sequence of rows, lists or tuples with one cell per header,
+    or a 2-D array.  Each renderer formats and writes the rows in blocks
+    of `_ROW_BLOCK` into a sink (anything with a `write` method), so the
+    memory a long table takes to print is about one block of formatted
+    cells, not a second copy of the table as cells, lines and text.  A
+    block of an array becomes Python scalars only when its turn comes.
+    Every cell is formatted once.  The plain-text layout pads each column
+    to its widest cell, so its blocks are held until the last is
+    formatted, each column of a finished block as one joined string; a
+    table of one block is formatted and written as it stands.
     """
 
-    def __init__(self, name: str, headers: list[str], rows: list[tuple],
+    def __init__(self, name: str, headers: list[str], rows,
                  notes: list[str] | None = None):
         self.name = name
         self.headers = headers
@@ -95,74 +136,100 @@ class Artifact:
         self.notes = notes or []
 
     def as_text(self, precision: int) -> str:
-        columns = _format_columns(self.rows, precision)
+        return _rendered(self.write_text, precision)
+
+    def as_csv(self, precision: int) -> str:
+        return _rendered(self.write_csv, precision)
+
+    def as_json(self, precision: int) -> str:
+        return _rendered(self.write_json, precision)
+
+    def write_text(self, sink, precision: int) -> None:
         widths = [len(h) for h in self.headers]
-        for i, cells in enumerate(columns):
-            widths[i] = max(widths[i], max(map(len, cells)))
+        # the finished blocks, compacted, and the last block's columns
+        held, columns = [], []
+        for block in _row_blocks(self.rows):
+            if columns:
+                held.append(list(map(_compact, columns)))
+            columns = _format_columns(block, precision)
+            for i, cells in enumerate(columns):
+                widths[i] = max(widths[i], max(map(len, cells)))
         # one left-justifying template pads a whole line in one call
         line = "  ".join(["%%-%ds" % w for w in widths])
         lines = [f"# {note}" for note in self.notes]
         lines.append(line % tuple(self.headers))
+        for compact in held:
+            lines.extend(map(line.__mod__, zip(*[
+                cells.split("\n") if isinstance(cells, str) else cells
+                for cells in compact])))
+            sink.write("\n".join(lines) + "\n")
+            lines = []
         lines.extend(map(line.__mod__, zip(*columns)))
-        return "\n".join(lines) + "\n"
+        sink.write("\n".join(lines) + "\n")
 
-    def as_csv(self, precision: int) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+    def write_csv(self, sink, precision: int) -> None:
+        writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(self.headers)
-        writer.writerows(zip(*_format_columns(self.rows, precision)))
-        return buf.getvalue()
+        for block in _row_blocks(self.rows):
+            writer.writerows(zip(*_format_columns(block, precision)))
 
-    def as_json(self, precision: int) -> str:
+    def write_json(self, sink, precision: int) -> None:
         """The bytes of json.dumps({"name", "rows": records}, indent=2).
 
         With an indent, json falls back to its pure-Python encoder, so
-        the cells are encoded without one, one C-level call per column,
-        and the fixed two-level layout is filled in by one record
-        template. A record keeps each header's first position and its
-        last cell, as dict(zip(headers, row)) does.
+        the cells are encoded without one, one C-level call per column
+        of a block, and the fixed two-level layout is filled in by one
+        record template. A record keeps each header's first position and
+        its last cell, as dict(zip(headers, row)) does.
         """
-        rows = "[]"
-        if self.rows:
-            columns = _format_columns(self.rows, precision, _json_cell, float)
-            last = {header: i for i, header in enumerate(self.headers)}
+        last = {header: i for i, header in enumerate(self.headers)}
+        fields = ",\n".join("      %s: %%s" % json.dumps(h).replace("%", "%%")
+                            for h in last)
+        record = "    {\n%s\n    }" % fields if fields else "    {}"
+        sink.write('{\n  "name": %s,\n  "rows": ' % json.dumps(self.name))
+        separator = "[\n"
+        for block in _row_blocks(self.rows):
+            columns = _format_columns(block, precision, _json_cell, float)
             # an encoded scalar holds no raw newline, so one splits the cells
             cells = [json.dumps(columns[i], separators=("\n", ": "))[1:-1]
                      .split("\n") for i in last.values()]
-            fields = ",\n".join("      %s: %%s" % json.dumps(h).replace("%", "%%")
-                                for h in last)
-            record = "    {\n%s\n    }" % fields if fields else "    {}"
-            records = zip(*cells) if cells else [()] * len(self.rows)
-            rows = "[\n%s\n  ]" % ",\n".join(map(record.__mod__, records))
-        return '{\n  "name": %s,\n  "rows": %s\n}\n' % (json.dumps(self.name), rows)
+            records = zip(*cells) if cells else [()] * len(block)
+            sink.write(separator + ",\n".join(map(record.__mod__, records)))
+            separator = ",\n"
+        sink.write("[]\n}\n" if separator == "[\n" else "\n  ]\n}\n")
+
+
+# the renderer of each --format
+_WRITERS = {"table": Artifact.write_text, "csv": Artifact.write_csv,
+            "json": Artifact.write_json}
 
 
 def _emit(artifacts: list[Artifact], command: str, parameters: dict,
           args, diagnostics: dict | None = None) -> int:
     """Print or write all artifacts; manifests accompany written files.
 
-    diagnostics (run health figures) go into the manifests only.
+    Each artifact is written block by block (see `Artifact`) straight
+    into its sink, stdout or its open file, so no rendered table is ever
+    held whole. diagnostics (run health figures) go into the manifests
+    only.
     """
     started = getattr(args, "_t0", None)
     out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
     fmt = args.format
+    write = _WRITERS[fmt]
     if out_dir is None:
         for art in artifacts:
             if len(artifacts) > 1:
                 print(f"== {art.name} ==")
-            render = {"table": art.as_text, "csv": art.as_csv,
-                      "json": art.as_json}[fmt]
-            sys.stdout.write(render(args.precision))
+            write(art, sys.stdout, args.precision)
         return 0
     os.makedirs(out_dir, exist_ok=True)
     ext = {"table": ".txt", "csv": ".csv", "json": ".json"}[fmt]
     paths = []
     for art in artifacts:
         path = os.path.join(out_dir, art.name + ext)
-        render = {"table": art.as_text, "csv": art.as_csv,
-                  "json": art.as_json}[fmt]
         with open(path, "w") as fh:
-            fh.write(render(args.precision))
+            write(art, fh, args.precision)
         paths.append(path)
     wall = 0.0 if started is None else time.perf_counter() - started
     manifest = {
@@ -405,15 +472,18 @@ def cmd_simulate(args) -> int:
     cfg = _parse_config(args.config)
     n_ions = _config_get(cfg, "n", 6, int)
     species_name = cfg.get("species", "Ca40")
-    mass_u = _config_get(cfg, "mass_u", 0.0, float) or None
+    mass_u = None   # the species mass
+    if "mass_u" in cfg:
+        mass_u = _config_get(cfg, "mass_u", None, float)
     omega3_hz = _config_get(cfg, "omega3", 2.0e6, float)
     res_spec = _parse_resonance(cfg.get("resonance", "6,5,5"))
     cutoff = _config_get(cfg, "cutoff", 2, int)
     duration = _config_get(cfg, "duration", float(2.0 * np.pi), float)
     samples = _config_get(cfg, "samples", 201, int)
     # NaN fails these comparisons too
-    for key, value in (("omega3", omega3_hz), ("duration", duration)):
-        if not value > 0.0:
+    for key, value in (("omega3", omega3_hz), ("duration", duration),
+                       ("mass_u", mass_u)):
+        if value is not None and not value > 0.0:
             raise ValueError(f"config key '{key}' must be > 0, got {value:g}")
     if samples < 2:
         raise ValueError("config key 'samples' must be at least 2")
@@ -496,6 +566,15 @@ def _pair_gain(proj, pair: list[int]) -> float:
 
 
 def cmd_classical(args) -> int:
+    """Integrate the configured run and tabulate its energies and spectra.
+
+    With `detune`, the resonant and detuned runs integrate as one batch
+    and each adds one row to the transfer table. Memory is kept to the
+    stored trajectories plus a bounded working set: a member other than
+    the main run is projected, gives its pair gain and is freed before
+    the main run is projected, and the energy table goes to `Artifact`
+    as one float array, which it formats and writes in row blocks.
+    """
     cfg = _parse_config(args.config)
     n_ions = _config_get(cfg, "n", None, int)
     dt = _config_get(cfg, "dt", 1.0e-3, float)
@@ -544,16 +623,21 @@ def cmd_classical(args) -> int:
     trajs = classical_mod.integrate_batch(
         u, bases, displacements=displacements, velocities=velocities,
         dt=dt, t_final=t_final, stride=stride)
-    basis, traj = bases[0], trajs[0]
-    proj = classical_mod.mode_projection(traj, basis, u)
+    # only the main run is tabulated: each other member gives its pair
+    # gain and is freed before the main run is projected
     gains = {}
     for label, run_alpha in transfer:
         k = alphas.index(run_alpha)
-        gains[label] = _pair_gain(
-            proj if k == 0 else
-            classical_mod.mode_projection(trajs[k], bases[k], u), pair)
-    # only the main run is tabulated; free the others before formatting
+        if k:
+            gains[label] = _pair_gain(
+                classical_mod.mode_projection(trajs[k], bases[k], u), pair)
+            trajs[k] = None
+    basis, traj = bases[0], trajs[0]
     del bases, trajs
+    proj = classical_mod.mode_projection(traj, basis, u)
+    for label, _ in transfer:
+        if label not in gains:
+            gains[label] = _pair_gain(proj, pair)
 
     energy_headers = ["t"]
     for direction in ("z", "x", "y"):
@@ -561,9 +645,10 @@ def cmd_classical(args) -> int:
     energy_headers += ["total", "energy_drift"]
     energy = traj.total_energy
     drift_scale = max(abs(energy[0]), 1e-300)
+    # an array: the Artifact makes Python floats of one row block at a time
     energy_rows = np.column_stack(
         [traj.times, *(proj.energies[d] for d in ("z", "x", "y")),
-         energy, (energy - energy[0]) / drift_scale]).tolist()
+         energy, (energy - energy[0]) / drift_scale])
 
     spectra_rows = []
     dt_sample = float(traj.times[1] - traj.times[0])

@@ -216,6 +216,36 @@ def test_batched_verlet_matches_single_reference(chains, n, batch, fractions,
             assert np.max(np.abs(traj.total_energy - ref_energy)) <= 1e-15
 
 
+def test_energy_blocks_change_no_bit(chains, monkeypatch):
+    u = chains[5]
+    bases = [modes.mode_basis(u, a) for a in (0.05, 0.04, 0.06)]
+    run = dict(displacements={("z", 5): 0.02, ("x", 4): 0.01, ("y", 5): -0.01},
+               velocities={("x", 1): 0.01}, dt=1e-2, t_final=0.49, stride=1)
+    runs = {}
+    # 50 samples: blocks of 7 end in a block of one sample
+    for block in (1, 7, 50):
+        monkeypatch.setattr(classical, "_ENERGY_BLOCK", block)
+        runs[block] = classical.integrate_batch(u, bases, **run)
+    assert runs[50][0].n_samples == 50
+    for block in (1, 7):
+        for got, whole in zip(runs[block], runs[50]):
+            assert np.array_equal(got.positions, whole.positions)
+            assert np.array_equal(got.velocities, whole.velocities)
+            assert np.array_equal(got.total_energy, whole.total_energy)
+
+
+def test_one_sample_offset_equals_its_batch_row(chains):
+    # the pair sum folds left in every layout, where `sum` would sum a
+    # lone sample's contiguous row pairwise
+    rng = np.random.default_rng(5)
+    ref = np.zeros((8, 3))
+    ref[:, 2] = chains[8]
+    pos = ref + 0.05 * rng.standard_normal((40, 8, 3))
+    batch = classical._potential_offset(pos, ref, 0.05)
+    for k in range(pos.shape[0]):
+        assert classical._potential_offset(pos[k:k + 1], ref, 0.05)[0] == batch[k]
+
+
 # --- trajectory container -----------------------------------------------
 
 def _toy_trajectory(energy):

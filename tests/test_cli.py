@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -313,6 +314,45 @@ def test_simulate_non_finite_config_is_a_domain_error(tmp_path, capsys,
     assert message in err
 
 
+@pytest.mark.parametrize("value, message", [
+    ("0", "config key 'mass_u' must be > 0, got 0"),
+    ("-1", "config key 'mass_u' must be > 0, got -1"),
+    ("nan", "config key 'mass_u' must be > 0, got nan"),
+    ("inf", "config key 'mass_u' must be finite, got inf"),
+])
+def test_simulate_mass_fails_before_solving(tmp_path, capsys, monkeypatch,
+                                            value, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a chain was solved")
+
+    monkeypatch.setattr(resonances, "_solve_chain", no_solve)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG + f"mass_u = {value}\n")
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_simulate_mass_overrides_the_species_mass(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    omega3 = 2.0 * np.pi * 2.0e6
+    epsilons = []
+    for extra, mass_kg in (("", equilibrium.species("Ca40").mass),
+                           ("mass_u = 9\n", 9 * cli.ATOMIC_MASS)):
+        cfg.write_text(SIM_CONFIG + extra)
+        out_dir = tmp_path / f"out{len(epsilons)}"
+        code, *_ = run_cli(capsys, "--output-dir", str(out_dir), "simulate",
+                           str(cfg))
+        assert code == 0
+        manifest = json.loads(
+            (out_dir / "simulate_rwa.txt.manifest.json").read_text())
+        want = quantum.nonlinearity_epsilon(
+            equilibrium.IonSpecies(name="Ca40", mass=mass_kg), omega3)
+        assert manifest["parameters"]["epsilon"] == want
+        epsilons.append(want)
+    assert epsilons[0] != epsilons[1]
+
+
 # --- table formatting ---------------------------------------------------
 
 # The row-wise rendering the column-wise formatter replaced, with the cell
@@ -429,6 +469,155 @@ def test_json_bytes_equal_indented_dumps(name, headers, rows):
     for precision in (1, 6, 17):
         assert art.as_json(precision) == _reference_json(name, headers, rows,
                                                          precision)
+
+
+# --- row blocks -----------------------------------------------------------
+
+# Tables whose cells sit on both sides of a block edge at blocks of 1, 2
+# and 3 rows: newlines and "%" in string cells, non-finite floats, notes,
+# no rows, and a float array.
+_EDGE_TABLES = [
+    (["label", "value", "n"],
+     [("a\nb", 1.0, 1), ("%s%%", np.float64(2.5), -2), ("c\n", -0.0, 3),
+      ("\n", 1e-300, 4), ("%", 12345.678, 5)],
+     ["note %s", "µ\n"]),
+    (["t", "e"],
+     [(float("nan"), float("inf")), (-float("inf"), 0.5), (2.0, float("nan")),
+      (-3.25, 1e300)], []),
+    (["a", "b"], [], ["only notes"]),
+    (["x", "y", "z"],
+     np.array([[0.5, np.nan, -np.inf], [1e-17, 2.0 / 3.0, np.inf],
+               [-0.0, 7.0, 1e300], [3.0, -1.5, 0.1]]), []),
+]
+
+_REFERENCES = {
+    "table": lambda art, p: _reference_text(art.headers, art.rows, art.notes,
+                                            p),
+    "csv": lambda art, p: _reference_csv(art.headers, art.rows, p),
+    "json": lambda art, p: _reference_json(art.name, art.headers, art.rows, p),
+}
+
+
+def _edge_artifacts():
+    return [cli.Artifact(f"edge_{k}", headers, rows, notes)
+            for k, (headers, rows, notes) in enumerate(_EDGE_TABLES)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_row_blocks_render_edge_tables(monkeypatch, block):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    for art in _edge_artifacts():
+        for precision in (1, 6, 17):
+            assert art.as_text(precision) == _REFERENCES["table"](art,
+                                                                  precision)
+            assert art.as_csv(precision) == _REFERENCES["csv"](art, precision)
+            assert art.as_json(precision) == _REFERENCES["json"](art,
+                                                                 precision)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables(), precision=st.sampled_from([1, 6, 17]))
+def test_row_blocks_match_the_references(table, precision):
+    headers, rows, notes = table
+    art = cli.Artifact("t", headers, rows, notes)
+    for block in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_ROW_BLOCK", block)
+            assert art.as_text(precision) == _reference_text(
+                headers, rows, notes, precision)
+            assert art.as_csv(precision) == _reference_csv(headers, rows,
+                                                           precision)
+            assert art.as_json(precision) == _reference_json(
+                "t", headers, rows, precision)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("fmt, ext", [("table", ".txt"), ("csv", ".csv"),
+                                      ("json", ".json")])
+def test_emit_writes_row_blocks_to_stdout_and_files(tmp_path, capsys,
+                                                    monkeypatch, block, fmt,
+                                                    ext):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    arts = _edge_artifacts()
+    reference = _REFERENCES[fmt]
+    args = argparse.Namespace(output_dir=None, format=fmt, precision=17)
+    assert cli._emit(arts[:1], "edge", {"k": 1}, args) == 0
+    assert capsys.readouterr().out == reference(arts[0], 17)
+    assert cli._emit(arts, "edge", {"k": 1}, args) == 0
+    assert capsys.readouterr().out == "".join(
+        f"== {art.name} ==\n" + reference(art, 17) for art in arts)
+
+    args.output_dir = str(tmp_path / "out")
+    assert cli._emit(arts, "edge", {"k": 1}, args, diagnostics={"d": 0}) == 0
+    paths = [os.path.join(args.output_dir, art.name + ext) for art in arts]
+    assert capsys.readouterr().out == "".join(f"{p}\n" for p in paths)
+    for art, path in zip(arts, paths):
+        with open(path, newline="") as fh:
+            assert fh.read() == reference(art, 17)
+        with open(path + ".manifest.json") as fh:
+            assert json.load(fh) == {
+                "command": "edge", "parameters": {"k": 1},
+                "constants_version": cli.CODATA_VERSION,
+                "output_paths": paths, "wall_time_s": 0.0,
+                "diagnostics": {"d": 0}}
+
+
+# --- memory ---------------------------------------------------------------
+
+class _Discard:
+    """A sink that drops what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def _traced_peak_mb(call) -> float:
+    """Peak traced allocation of call(), in MB above what was live before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return (tracemalloc.get_traced_memory()[1] - start) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_long_table_is_written_in_bounded_memory():
+    # the classical energy table of the benchmark run: 5001 x 21 floats
+    rows = np.random.default_rng(0).standard_normal((5001, 21))
+    art = cli.Artifact("energies", [f"e{k}" for k in range(21)], rows)
+    for fmt in ("table", "csv", "json"):
+        args = argparse.Namespace(output_dir=None, format=fmt, precision=6)
+        with redirect_stdout(_Discard()):
+            peak = _traced_peak_mb(
+                lambda: cli._emit([art], "energies", {}, args))
+        # rendered whole, the text took 11.0 MB and the csv 7.9 MB; in row
+        # blocks each takes under 2 MB
+        assert peak < 3.0, (fmt, peak)
+
+
+def test_classical_run_fits_its_trajectories(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    cfg = tmp_path / "run.cfg"
+    # the benchmark run cut to 10 000 steps, still 5001 samples
+    cfg.write_text(
+        "n = 6\nresonance = 6,5,5\ndetune = 0.2\n"
+        "displacement = z5:1e-2,x5:1e-6,x6:1.2e-6,y5:0.8e-6,y6:1e-6\n"
+        "dt = 2e-3\nt_final = 20\nstride = 2\n")
+    codes = []
+    with redirect_stdout(_Discard()):
+        peak = _traced_peak_mb(
+            lambda: codes.append(cli.main(["classical", str(cfg)])))
+    assert codes == [0]
+    # three stored trajectories take 4.3 MB and the peak about 6.7 MB; the
+    # whole-run energy pass and the table held as cells and text took it
+    # to 17.5 MB
+    assert peak < 10.0, peak
 
 
 # --- file output, manifests, determinism --------------------------------
