@@ -48,6 +48,9 @@ POSITION_BOUND = 1.0e3
 # the wobble and expose genuine secular drift.
 DRIFT_WINDOW = 0.1
 
+# Fewest samples `spectrum` takes a peak from.
+_MIN_SPECTRUM_SAMPLES = 16
+
 # Samples per block of the total-energy pass of `integrate_batch`: the pair
 # temporaries of `_potential_offset` then span one block, not the run.
 _ENERGY_BLOCK = 512
@@ -209,25 +212,32 @@ def accelerations(positions: np.ndarray, alpha: float) -> np.ndarray:
     return np.moveaxis(acc, 0, -2)
 
 
-def _potential_offset(pos: np.ndarray, ref: np.ndarray,
+def _reference_pairs(ref: np.ndarray) -> tuple:
+    """The fixed geometry of ref (n, 3) that `_potential_offset` reads:
+    ref, the pair-difference matrix and ref's pair separations."""
+    diff = _pairs(ref.shape[-2])[1]
+    d0, r02 = _separations(ref, diff)
+    return ref, diff, d0, r02, np.sqrt(r02)
+
+
+def _potential_offset(pos: np.ndarray, reference: tuple,
                       alpha: float) -> np.ndarray:
     """V(pos) - V(ref) evaluated without subtracting two large potentials.
 
-    pos has shape (..., n, 3) and ref (n, 3); the result has shape (...,).
-    A naive difference loses every digit below V(ref) * eps, which swamps
-    the tiny energies of small-amplitude runs.  Difference-of-squares
-    forms keep the roundoff scaled to the offset itself.
+    pos has shape (..., n, 3), reference is `_reference_pairs(ref)` and
+    the result has shape (...,).  A naive difference loses every digit
+    below V(ref) * eps, which swamps the tiny energies of small-amplitude
+    runs.  Difference-of-squares forms keep the roundoff scaled to the
+    offset itself.
     """
+    ref, diff, d0, r02, r0 = reference
     dp = pos - ref
     trap = 0.5 * np.sum(dp * (pos + ref) * _stiffness(alpha), axis=(-2, -1))
     # pair separations built from per-ion displacements, so the change in
     # r^2 never touches the O(1) separation roundoff
-    diff = _pairs(ref.shape[-2])[1]
-    d0, r02 = _separations(ref, diff)
     dz, dz2 = _separations(dp, diff)
     # r^2 - r0^2 = 2 d0.dz + |dz|^2
     cross = 2.0 * np.einsum("pk,...pk->...p", d0, dz) + dz2
-    r0 = np.sqrt(r02)
     r = np.sqrt(r02 + cross)
     # 1/r - 1/r0 = (r0^2 - r^2) / (r * r0 * (r + r0)), summed over the
     # pairs as a left fold: `sum` folds the pair-outermost layout of two
@@ -255,6 +265,12 @@ def _assemble_initial(u: np.ndarray, basis: ModeBasis,
                 raise ValueError(f"mode index {p} out of range for {n} ions")
             target[:, axis_of[direction]] += amp * basis.vectors[:, p - 1]
     return pos, vel
+
+
+def _time_grid(dt: float, t_final: float, stride: int) -> tuple[int, int]:
+    """Verlet steps to t_final, and samples kept: step 0, then every stride."""
+    n_steps = int(round(t_final / dt))
+    return n_steps, n_steps // stride + 1
 
 
 def integrate(u: np.ndarray, basis: ModeBasis,
@@ -290,7 +306,8 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
     `_ENERGY_BLOCK` samples.  The potential offset builds several
     (samples, pairs, 3) temporaries, which over the whole run would
     outweigh the stored trajectory; every operation is per sample, so the
-    blocks change no bit of the result.
+    blocks change no bit of the result.  The fixed pair geometry of the
+    equilibrium is built once per call and shared by every block.
     """
     u = np.asarray(u, dtype=float)
     if not bases:
@@ -303,7 +320,7 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
         raise ValueError("stride must be at least 1")
     initial = [_assemble_initial(u, basis, displacements, velocities)
                for basis in bases]
-    n_steps = int(round(t_final / dt))
+    n_steps, samples = _time_grid(dt, t_final, stride)
     if n_steps < 1:
         raise ValueError("t_final shorter than one step")
     # ion-major state (n, B, 3), the layout of the force kernel
@@ -323,7 +340,6 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
 
     # separate arrays per member, so that a caller who keeps one
     # trajectory does not keep the others alive
-    samples = n_steps // stride + 1
     traj_pos = [np.empty((samples, n, 3)) for _ in bases]
     traj_vel = [np.empty((samples, n, 3)) for _ in bases]
 
@@ -364,6 +380,7 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
             countdown = stride
             record(step, sample)
     times = np.arange(0, n_steps + 1, stride) * dt
+    reference = _reference_pairs(eq_pos)
     out = []
     for basis, member_pos, member_vel in zip(bases, traj_pos, traj_vel):
         energy = np.empty(samples)
@@ -372,7 +389,7 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
             vel_block = member_vel[block]
             kinetic = 0.5 * np.sum(vel_block * vel_block, axis=(-2, -1))
             energy[block] = kinetic + _potential_offset(
-                member_pos[block], eq_pos, basis.alpha)
+                member_pos[block], reference, basis.alpha)
         out.append(Trajectory(times=times, positions=member_pos,
                               velocities=member_vel, total_energy=energy))
     return out
@@ -428,8 +445,9 @@ def spectrum(series: np.ndarray, dt: float, n_peaks: int = 1) -> np.ndarray:
     y = np.asarray(series, dtype=float)
     if y.ndim != 1:
         raise ValueError("series must be one-dimensional")
-    if y.size < 16:
-        raise ValueError("series too short for a spectrum (need >= 16 samples)")
+    if y.size < _MIN_SPECTRUM_SAMPLES:
+        raise ValueError(f"series too short for a spectrum "
+                         f"(need >= {_MIN_SPECTRUM_SAMPLES} samples)")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if n_peaks < 1:

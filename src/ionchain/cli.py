@@ -296,8 +296,8 @@ def _resolve_ion(name: str | None, mass_u: float | None):
     if mass_u is not None:
         label = name or "custom"
         return equilibrium_mod.IonSpecies(name=label, mass=mass_u * ATOMIC_MASS)
-    if name is None:
-        raise ValueError("a species name or --mass-u is required")
+    if not name:
+        raise ValueError("--species or --mass-u is required")
     return equilibrium_mod.species(name)
 
 
@@ -367,10 +367,10 @@ def cmd_equilibrium(args) -> int:
     params = {"n": args.n}
     rows: list[tuple] = []
     ell = None
-    if args.species or args.mass_u:
+    if (args.species, args.mass_u, args.omega3) != (None, None, None):
+        ion = _resolve_ion(args.species, args.mass_u)
         if args.omega3 is None:
             raise ValueError("--omega3 is required with a species")
-        ion = _resolve_ion(args.species, args.mass_u)
         omega3 = 2.0 * np.pi * args.omega3
         ell = equilibrium_mod.length_scale(ion, omega3)
         headers.append("z_m")
@@ -430,6 +430,10 @@ def cmd_tables(args) -> int:
 
 
 def cmd_epsilon(args) -> int:
+    if args.resonance is not None and args.n is None:
+        raise ValueError("--n is required with --resonance")
+    if args.n is not None and args.resonance is None:
+        raise ValueError("--resonance is required with --n")
     ion = _resolve_ion(args.species, args.mass_u)
     omega3 = 2.0 * np.pi * args.omega3
     eps = quantum_mod.nonlinearity_epsilon(ion, omega3)
@@ -437,8 +441,6 @@ def cmd_epsilon(args) -> int:
     row = [ion.name, args.omega3, eps, eps * args.omega3]
     params = {"species": ion.name, "omega3_hz": args.omega3}
     if args.resonance is not None:
-        if args.n is None:
-            raise ValueError("--n is required with --resonance")
         m, n, p = _parse_resonance(args.resonance)
         chain = resonances_mod._solve_chain(args.n)
         entry = _find_entry(chain, m, n, p)
@@ -589,6 +591,14 @@ def cmd_classical(args) -> int:
             raise ValueError(f"config key '{key}' must be > 0, got {value:g}")
     if not detune >= 0.0:
         raise ValueError(f"config key 'detune' must be >= 0, got {detune:g}")
+    if stride < 1:
+        raise ValueError(f"config key 'stride' must be >= 1, got {stride}")
+    samples = classical_mod._time_grid(dt, t_final, stride)[1]
+    if samples < classical_mod._MIN_SPECTRUM_SAMPLES:
+        raise ValueError(
+            f"config keys 't_final', 'dt' and 'stride' give {samples} "
+            f"samples; the spectra need at least "
+            f"{classical_mod._MIN_SPECTRUM_SAMPLES}")
     res_text = cfg.get("resonance")
     chain = entry = None
     if res_text is not None:
@@ -694,154 +704,103 @@ def cmd_classical(args) -> int:
 
 # --- parser wiring --------------------------------------------------------
 
-def _output_options(parser, trailing: bool = False):
-    """Rendering flags, accepted before or after the subcommand.
+# Every argument is declared once, as (flag or positional name,
+# `add_argument` keywords), and stores one value: `build_parser` adds it to
+# argparse and `_dispatch_table` reads the same entry.
 
-    The trailing copies default to SUPPRESS so they only override the
-    top-level values when actually given.
-    """
-    def default(value):
-        return argparse.SUPPRESS if trailing else value
+# rendering flags, accepted before or after the subcommand
+_OUTPUT_FLAGS = [
+    ("--format", {"choices": ("table", "csv", "json"), "default": "table",
+                  "help": "output rendering"}),
+    ("--precision", {"type": _positive_int, "default": 6,
+                     "help": "significant digits for printed numbers"}),
+    ("--output-dir", {"help": f"write files here instead of stdout "
+                              f"(or set {OUTPUT_DIR_ENV})"}),
+]
 
-    parser.add_argument("--format", choices=("table", "csv", "json"),
-                        default=default("table"), help="output rendering")
-    parser.add_argument("--precision", type=_positive_int, default=default(6),
-                        help="significant digits for printed numbers")
-    parser.add_argument("--output-dir", default=default(None),
-                        help=f"write files here instead of stdout "
-                             f"(or set {OUTPUT_DIR_ENV})")
+# per subcommand: its help, its function and its own arguments
+_COMMANDS = {
+    "equilibrium": ("equilibrium ion positions", cmd_equilibrium, [
+        ("--n", {"type": _positive_int, "required": True}),
+        ("--species", {}),
+        ("--mass-u", {"type": _positive_float}),
+        ("--omega3", {"type": _positive_float,
+                      "help": "axial trap frequency in Hz"}),
+    ]),
+    "modes": ("normal-mode table", cmd_modes, [
+        ("--n", {"type": _positive_int, "required": True}),
+        ("--alpha", {"type": _positive_float, "required": True}),
+    ]),
+    "tables": ("resonance catalog and bounds", cmd_tables, [
+        ("--n", {"type": _n_range, "required": True,
+                 "help": "ion count or inclusive range like 2..10"}),
+    ]),
+    "simulate": ("quantum down-conversion run", cmd_simulate, [
+        ("config", {"help": "flat key = value config file"}),
+        ("--mode", {"choices": ("rwa", "full", "both")}),
+    ]),
+    "classical": ("classical trajectory run", cmd_classical, [
+        ("config", {"help": "flat key = value config file"}),
+    ]),
+    "epsilon": ("nonlinearity scale report", cmd_epsilon, [
+        ("--species", {}),
+        ("--mass-u", {"type": _positive_float}),
+        ("--omega3", {"type": _positive_float, "required": True,
+                      "help": "axial trap frequency in Hz"}),
+        ("--n", {"type": _positive_int}),
+        ("--resonance", {"help": "m,n,p"}),
+    ]),
+}
+
+
+def _dest(name_or_flag: str) -> str:
+    """The namespace attribute argparse stores an argument under."""
+    return name_or_flag.lstrip("-").replace("-", "_")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ionchain",
         description="Linear ion-chain phonon coupling toolkit.")
-    _output_options(parser)
+    for flag, keywords in _OUTPUT_FLAGS:
+        parser.add_argument(flag, **keywords)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name: str, help_text: str):
+    for name, (help_text, func, arguments) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        _output_options(sp, trailing=True)
-        return sp
-
-    p_eq = add_parser("equilibrium", "equilibrium ion positions")
-    p_eq.add_argument("--n", type=_positive_int, required=True)
-    p_eq.add_argument("--species", default=None)
-    p_eq.add_argument("--mass-u", type=_positive_float, default=None)
-    p_eq.add_argument("--omega3", type=_positive_float, default=None,
-                      help="axial trap frequency in Hz")
-    p_eq.set_defaults(func=cmd_equilibrium)
-
-    p_md = add_parser("modes", "normal-mode table")
-    p_md.add_argument("--n", type=_positive_int, required=True)
-    p_md.add_argument("--alpha", type=_positive_float, required=True)
-    p_md.set_defaults(func=cmd_modes)
-
-    p_tb = add_parser("tables", "resonance catalog and bounds")
-    p_tb.add_argument("--n", type=_n_range, required=True,
-                      help="ion count or inclusive range like 2..10")
-    p_tb.set_defaults(func=cmd_tables)
-
-    p_si = add_parser("simulate", "quantum down-conversion run")
-    p_si.add_argument("config", help="flat key = value config file")
-    p_si.add_argument("--mode", choices=("rwa", "full", "both"), default=None)
-    p_si.set_defaults(func=cmd_simulate)
-
-    p_cl = add_parser("classical", "classical trajectory run")
-    p_cl.add_argument("config", help="flat key = value config file")
-    p_cl.set_defaults(func=cmd_classical)
-
-    p_ep = add_parser("epsilon", "nonlinearity scale report")
-    p_ep.add_argument("--species", default=None)
-    p_ep.add_argument("--mass-u", type=_positive_float, default=None)
-    p_ep.add_argument("--omega3", type=_positive_float, required=True,
-                      help="axial trap frequency in Hz")
-    p_ep.add_argument("--n", type=_positive_int, default=None)
-    p_ep.add_argument("--resonance", default=None, help="m,n,p")
-    p_ep.set_defaults(func=cmd_epsilon)
+        # the trailing copies default to SUPPRESS so they only override
+        # the top-level values when actually given
+        for flag, keywords in _OUTPUT_FLAGS:
+            sp.add_argument(flag, **keywords | {"default": argparse.SUPPRESS})
+        for name_or_flag, keywords in arguments:
+            sp.add_argument(name_or_flag, **keywords)
+        sp.set_defaults(func=func)
     return parser
 
 
-# the action kinds the dispatch table models, exactly: a store of one
-# value, and the help and subparsers actions
-_TABLE_ACTIONS = (argparse._StoreAction, argparse._HelpAction,
-                  argparse._SubParsersAction)
-
-
-def _namespace_defaults(parser) -> dict:
-    """The attributes argparse gives a namespace before reading arguments.
-
-    Each action's default (the first action of a dest wins), then the
-    parser's `set_defaults`. A string default goes through its action's
-    type, as argparse does when the action is absent.
+def _dispatch_table() -> dict:
+    """Per subcommand name, what `_table_parse` needs to parse its lines:
+    the slot (dest, type, choices) of each option string, the positional
+    slots, the required dests, and the namespace argparse starts from.
     """
-    values = {}
-    for action in parser._actions:
-        if (action.dest is not argparse.SUPPRESS
-                and action.default is not argparse.SUPPRESS
-                and action.dest not in values):
-            values[action.dest] = (
-                parser._get_value(action, action.default)
-                if isinstance(action.default, str) else action.default)
-    for dest, value in parser._defaults.items():
-        values.setdefault(dest, value)
-    return values
-
-
-def _dispatch_table(parser: argparse.ArgumentParser) -> dict:
-    """Per subcommand name, what `_table_parse` needs to parse its lines.
-
-    Each entry is (options, positionals, required, defaults), read from
-    the parser's own actions: the store action of each exact option
-    string with its type function, the positional actions in order with
-    theirs, the required actions, and the namespace argparse starts from
-    (the top-level defaults, the subcommand name, then the subcommand's
-    defaults). Raises TypeError on an action or a parser feature the
-    table does not model.
-    """
-    def check(parser, kinds):
-        if (parser.prefix_chars != "-" or parser.fromfile_prefix_chars
-                or parser._mutually_exclusive_groups):
-            raise TypeError(f"{parser.prog}: the dispatch table does not "
-                            f"model prefixes other than '-', argument files "
-                            f"or groups")
-        for action in parser._actions:
-            if type(action) not in kinds or (
-                    type(action) is argparse._StoreAction
-                    and action.nargs is not None):
-                raise TypeError(f"{parser.prog}: the dispatch table does not "
-                                f"model {type(action).__name__} "
-                                f"{action.option_strings or action.dest}")
-
-    check(parser, _TABLE_ACTIONS)
-    (commands,) = [a for a in parser._actions
-                   if type(a) is argparse._SubParsersAction]
+    top = {_dest(flag): keywords.get("default")
+           for flag, keywords in _OUTPUT_FLAGS}
     table = {}
-    for name, sub in commands.choices.items():
-        check(sub, _TABLE_ACTIONS[:2])
-        options, positionals = {}, []
-        for action in sub._actions:
-            if type(action) is argparse._HelpAction:
-                continue
-            slot = (action, sub._registry_get("type", action.type,
-                                              action.type))
-            for option in action.option_strings:
-                # argparse reads every token at the top level first, and
-                # stops at a prefix of two top-level options
-                if (option not in parser._option_string_actions
-                        and len(parser._get_option_tuples(option)) > 1):
-                    raise TypeError(f"{sub.prog}: the dispatch table does "
-                                    f"not model {option}, an ambiguous "
-                                    f"prefix at the top level")
-                options[option] = slot
-            if not action.option_strings:
+    for name, (_, func, arguments) in _COMMANDS.items():
+        options, positionals, required = {}, [], set()
+        for name_or_flag, keywords in _OUTPUT_FLAGS + arguments:
+            dest, positional = _dest(name_or_flag), name_or_flag[:1] != "-"
+            slot = (dest, keywords.get("type", str), keywords.get("choices"))
+            if positional:
                 positionals.append(slot)
-        defaults = _namespace_defaults(parser)
-        if commands.dest is not argparse.SUPPRESS:
-            defaults[commands.dest] = name
-        defaults.update(_namespace_defaults(sub))
-        required = frozenset(a for a in sub._actions if a.required)
-        table[name] = (options, tuple(positionals), required, defaults)
+            else:
+                options[name_or_flag] = slot
+            if positional or keywords.get("required"):
+                required.add(dest)
+        # the trailing output flags default to SUPPRESS: they set none
+        defaults = {**top, "command": name, "func": func, **{
+            _dest(n): keywords.get("default") for n, keywords in arguments}}
+        table[name] = (options, tuple(positionals), frozenset(required),
+                       defaults)
     return table
 
 
@@ -874,15 +833,15 @@ def _table_parse(table: dict, argv: list):
             n_pos += 1
         else:
             return None
-        action, convert = slot
+        dest, convert, choices = slot
         try:
             value = convert(text)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-        seen.add(action)
+        values[dest] = value
+        seen.add(dest)
     if not required <= seen:
         return None
     return argparse.Namespace(**values)
@@ -896,8 +855,7 @@ def _main_parser() -> tuple[argparse.ArgumentParser, dict]:
     kept apart from what `build_parser` returns, so a caller that changes
     that parser does not change what `main` accepts.
     """
-    parser = build_parser()
-    return parser, _dispatch_table(parser)
+    return build_parser(), _dispatch_table()
 
 
 def main(argv=None) -> int:

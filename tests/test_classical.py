@@ -122,7 +122,8 @@ def test_vectorised_offset_matches_per_sample(disp, alpha):
     ref = np.zeros(disp.shape[1:])
     ref[:, 2] = equilibrium.solve_equilibrium(disp.shape[1])
     pos = ref + disp
-    got = classical._potential_offset(pos, ref, alpha)
+    got = classical._potential_offset(pos, classical._reference_pairs(ref),
+                                      alpha)
     expected = [_reference_offset(p, ref, alpha) for p in pos]
     assert got.shape == (pos.shape[0],)
     assert np.max(np.abs(got - expected)) <= 1e-15
@@ -241,9 +242,11 @@ def test_one_sample_offset_equals_its_batch_row(chains):
     ref = np.zeros((8, 3))
     ref[:, 2] = chains[8]
     pos = ref + 0.05 * rng.standard_normal((40, 8, 3))
-    batch = classical._potential_offset(pos, ref, 0.05)
+    reference = classical._reference_pairs(ref)
+    batch = classical._potential_offset(pos, reference, 0.05)
     for k in range(pos.shape[0]):
-        assert classical._potential_offset(pos[k:k + 1], ref, 0.05)[0] == batch[k]
+        assert classical._potential_offset(pos[k:k + 1], reference,
+                                           0.05)[0] == batch[k]
 
 
 # --- trajectory container -----------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import io
 import json
@@ -168,11 +169,29 @@ def test_species_without_frequency(capsys):
     assert "--omega3" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--omega3", "2e6"],
+    ["--species", "", "--omega3", "2e6"],
+    ["--species", ""],
+])
+def test_frequency_without_species(capsys, argv):
+    code, out, err = run_cli(capsys, "equilibrium", "--n", "2", *argv)
+    assert code == 1 and out == ""
+    assert "--species or --mass-u is required" in err
+
+
 def test_resonance_needs_chain_size(capsys):
     code, _, err = run_cli(capsys, "epsilon", "--species", "Ca40",
                            "--omega3", "2e6", "--resonance", "6,5,5")
     assert code == 1
     assert "--n is required" in err
+
+
+def test_chain_size_needs_resonance(capsys):
+    code, out, err = run_cli(capsys, "epsilon", "--species", "Ca40",
+                             "--omega3", "2e6", "--n", "6")
+    assert code == 1 and out == ""
+    assert "--resonance is required with --n" in err
 
 
 def test_unknown_resonance(capsys):
@@ -249,6 +268,30 @@ def test_classical_time_grid_fails_before_integration(tmp_path, capsys,
         tmp_path, capsys, monkeypatch,
         f"n = 2\nalpha = 0.5\n{key} = {value}\n",
         f"config key '{key}' must be > 0, got {float(value):g}")
+
+
+@pytest.mark.parametrize("config, message", [
+    ("t_final = 1\nstride = 1000\n",
+     "config keys 't_final', 'dt' and 'stride' give 2 samples; "
+     "the spectra need at least 16"),
+    ("t_final = 0.014\nstride = 1\n", "give 15 samples"),
+    ("stride = 0\n", "config key 'stride' must be >= 1, got 0"),
+])
+def test_classical_short_run_fails_before_integration(tmp_path, capsys,
+                                                      monkeypatch, config,
+                                                      message):
+    _assert_fails_before_integration(
+        tmp_path, capsys, monkeypatch, "n = 2\nalpha = 0.5\n" + config,
+        message)
+
+
+def test_classical_run_of_sixteen_samples_has_spectra(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\nalpha = 0.5\nt_final = 0.015\nstride = 1\n"
+                   "displacement = z2:1e-3\n")
+    code, out, err = run_cli(capsys, "classical", str(cfg), "--format", "csv")
+    assert code == 0 and err == ""
+    assert "\nz,2," in out.split("== classical_spectra ==")[1]
 
 
 def _assert_fails_before_integration(tmp_path, capsys, monkeypatch, config,
@@ -1034,11 +1077,11 @@ def _subcommands(parser):
     return commands.choices
 
 
-_COMMANDS = _subcommands(cli.build_parser())
-_OPTIONS = sorted({option for parser in [cli.build_parser(),
-                                         *_COMMANDS.values()]
-                   for action in parser._actions
-                   for option in action.option_strings})
+# each subcommand's declared arguments, its trailing output flags first
+_COMMANDS = {name: cli._OUTPUT_FLAGS + arguments
+             for name, (_, _, arguments) in cli._COMMANDS.items()}
+_OPTIONS = sorted({flag for arguments in _COMMANDS.values()
+                   for flag, _ in arguments if flag[:1] == "-"})
 # values each destination accepts, and words any argument may meet
 _GOOD = {"n": ["2", "6", "2..10"], "alpha": ["0.05"], "omega3": ["2e6"],
          "mass_u": ["40"], "species": ["Ca40", ""], "resonance": ["6,5,5"],
@@ -1055,21 +1098,20 @@ def _argvs(draw):
     """Command lines of one subcommand: its own options with good values,
     now and then a hostile word, a repeat or a missing argument."""
     name = draw(st.sampled_from(sorted(_COMMANDS)))
-    actions = [a for a in _COMMANDS[name]._actions
-               if not isinstance(a, argparse._HelpAction)]
+    arguments = _COMMANDS[name]
     hostile = st.sampled_from(_HOSTILE)
 
-    def tokens(action):
-        good = st.sampled_from(_GOOD[action.dest])
+    def tokens(argument):
+        name_or_flag, _ = argument
+        good = st.sampled_from(_GOOD[cli._dest(name_or_flag)])
         value = draw(st.one_of(good, hostile)
                      if draw(st.integers(0, 4)) == 0 else good)
-        option = (draw(st.sampled_from(action.option_strings))
-                  if action.option_strings else None)
-        return [option, value] if option else [value]
+        return [name_or_flag, value] if name_or_flag[:1] == "-" else [value]
 
-    parts = [tokens(a) for a in actions if a.required
+    parts = [tokens(a) for a in arguments
+             if (a[0][:1] != "-" or a[1].get("required"))
              and draw(st.integers(0, 9))]
-    parts += [tokens(draw(st.sampled_from(actions)))
+    parts += [tokens(draw(st.sampled_from(arguments)))
               for _ in range(draw(st.integers(0, 4)))]
     parts += [[draw(hostile)] for _ in range(draw(st.integers(0, 1)))]
     order = draw(st.permutations(range(len(parts))))
@@ -1106,6 +1148,8 @@ def test_dispatch_table_agrees_with_parse_args(argv):
 
 
 def test_dispatch_table_models_every_subcommand_option():
+    # the parser and the table are built from one declaration; read back
+    # from the parser's own actions, each argument has the table's slot
     parser, table = cli._main_parser()
     assert sorted(table) == sorted(_COMMANDS)
     for name, sub in _subcommands(parser).items():
@@ -1115,29 +1159,13 @@ def test_dispatch_table_models_every_subcommand_option():
         for action in stores:
             assert type(action) is argparse._StoreAction
             assert action.nargs is None
-        assert {o: a for o, (a, _) in options.items()} == {
-            o: a for a in stores for o in a.option_strings}
-        assert [a for a, _ in positionals] == [
-            a for a in stores if not a.option_strings]
-        assert required == {a for a in stores if a.required}
-
-
-@pytest.mark.parametrize("add", [
-    lambda top, sub: sub.add_argument("--flag", action="store_true"),
-    lambda top, sub: sub.add_argument("--many", action="append"),
-    lambda top, sub: sub.add_argument("--pair", nargs=2),
-    lambda top, sub: sub.add_argument("extra", nargs="?"),
-    lambda top, sub: sub.add_mutually_exclusive_group().add_argument("--one"),
-    lambda top, sub: sub.add_subparsers().add_parser("deeper"),
-    lambda top, sub: setattr(sub, "fromfile_prefix_chars", "@"),
-    # argparse stops `tables --n 3` at the top level: --n could be either
-    lambda top, sub: [top.add_argument(o) for o in ("--nx", "--ny")],
-])
-def test_dispatch_table_refuses_what_it_does_not_model(add):
-    parser = cli.build_parser()
-    add(parser, _subcommands(parser)["tables"])
-    with pytest.raises(TypeError, match="dispatch table does not model"):
-        cli._dispatch_table(parser)
+        assert options == {
+            o: (a.dest, a.type or str, a.choices)
+            for a in stores for o in a.option_strings}
+        assert list(positionals) == [
+            (a.dest, a.type or str, a.choices)
+            for a in stores if not a.option_strings]
+        assert required == {a.dest for a in stores if a.required}
 
 
 def test_bench_command_lines_skip_parse_args(tmp_path, capsys, monkeypatch):
@@ -1160,9 +1188,26 @@ def test_clearing_the_parser_memo_rebuilds_the_table():
     cli._main_parser.cache_clear()
     rebuilt, new_table = cli._main_parser()
     assert rebuilt is not parser and new_table is not table
-    action, _ = new_table["tables"][0]["--n"]
-    assert action in _subcommands(rebuilt)["tables"]._actions
-    assert action not in _subcommands(parser)["tables"]._actions
+    assert new_table == table
+    assert new_table["tables"][0]["--n"] == ("n", cli._n_range, None)
+
+
+# argparse internals the CLI once read its own arguments back through
+_PRIVATE_ARGPARSE = {"_actions", "_defaults", "_registry_get", "_get_value",
+                     "_get_option_tuples", "_option_string_actions",
+                     "_mutually_exclusive_groups"}
+
+
+def test_cli_reads_no_private_argparse_name():
+    path = Path(cli.__file__)
+    reads = [
+        f"{path.name}:{node.lineno}: {node.attr}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and (
+            node.attr in _PRIVATE_ARGPARSE
+            or (node.attr[:1] == "_" and isinstance(node.value, ast.Name)
+                and node.value.id == "argparse"))]
+    assert reads == []
 
 
 def test_console_script_entry_point():
