@@ -33,6 +33,7 @@ kernel keeps the operations that rounding depends on:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,8 +269,17 @@ def _assemble_initial(u: np.ndarray, basis: ModeBasis,
 
 
 def _time_grid(dt: float, t_final: float, stride: int) -> tuple[int, int]:
-    """Verlet steps to t_final, and samples kept: step 0, then every stride."""
-    n_steps = int(round(t_final / dt))
+    """Verlet steps to t_final, and samples kept: step 0, then every stride.
+
+    Raises ValueError when t_final / dt is not a finite number of steps.
+    """
+    with np.errstate(over="ignore"):
+        ratio = float(t_final / dt)
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"t_final = {t_final:g} and dt = {dt:g} give no finite number "
+            "of steps")
+    n_steps = int(round(ratio))
     return n_steps, n_steps // stride + 1
 
 

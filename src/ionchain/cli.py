@@ -502,7 +502,7 @@ def cmd_simulate(args) -> int:
 
     # the mode tensor depends on the eigenvectors only, which do not
     # change with alpha, so the chain's probe tensors serve at any alpha
-    basis = modes_mod.mode_basis(chain.u, alpha)
+    basis = chain.basis_at(alpha)
     tensors = chain.tensors
     fock = quantum_mod.FockBasis.uniform(
         quantum_mod.resonance_mode_set(entry), cutoff)
@@ -514,16 +514,21 @@ def cmd_simulate(args) -> int:
     state0 = quantum_mod.QuantumState(
         basis=fock, amplitudes=fock.number_state(occupations))
 
+    # no generator joins two symmetry sectors: each is built on the
+    # sectors the initial state reaches only
+    states = quantum_mod._sector_states(fock, tensors.parity,
+                                        state0.amplitudes)
     hamiltonians = {}
     if flavor in ("rwa", "both"):
         hamiltonians["rwa"] = quantum_mod.build_rwa_interaction(
-            fock, basis, tensors, eps, resonance=entry)
+            fock, basis, tensors, eps, resonance=entry, states=states)
     if flavor in ("full", "both"):
         # counter-rotating terms only cancel through free evolution, so the
         # full run propagates under the complete generator
         hamiltonians["full"] = (
-            quantum_mod.build_free_hamiltonian(fock, basis)
-            + quantum_mod.build_full_interaction(fock, basis, tensors, eps))
+            quantum_mod.build_free_hamiltonian(fock, basis, states=states)
+            + quantum_mod.build_full_interaction(fock, basis, tensors, eps,
+                                                 states=states))
 
     x_axes = [k for k, mode in enumerate(fock.modes) if mode[0] == "x"]
     watched = [fock.index_of(occ) for occ in (psi_occ, phi_occ, chi_occ)]
@@ -627,9 +632,13 @@ def cmd_classical(args) -> int:
 
     # the main run and the transfer comparison integrate as one batch,
     # one member per distinct alpha
-    u = resonances_mod._positions(n_ions) if chain is None else chain.u
     alphas = list(dict.fromkeys([alpha] + [a for _, a in transfer]))
-    bases = [modes_mod.mode_basis(u, a) for a in alphas]
+    if chain is None:
+        u = resonances_mod._positions(n_ions)
+        bases = [modes_mod.mode_basis(u, a) for a in alphas]
+    else:
+        u = chain.u
+        bases = [chain.basis_at(a) for a in alphas]
     trajs = classical_mod.integrate_batch(
         u, bases, displacements=displacements, velocities=velocities,
         dt=dt, t_final=t_final, stride=stride)
@@ -777,10 +786,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
 def _dispatch_table() -> dict:
     """Per subcommand name, what `_table_parse` needs to parse its lines:
     the slot (dest, type, choices) of each option string, the positional
     slots, the required dests, and the namespace argparse starts from.
+    Built once per process; `main` reads it on every call.
     """
     top = {_dest(flag): keywords.get("default")
            for flag, keywords in _OUTPUT_FLAGS}
@@ -848,25 +859,25 @@ def _table_parse(table: dict, argv: list):
 
 
 @functools.lru_cache(maxsize=1)
-def _main_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser `main` uses and its dispatch table, built once per process.
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser `main` falls back to, built once per process, on the
+    first line the dispatch table declines.
 
     Parsing leaves a parser unchanged, so every call can share one. It is
     kept apart from what `build_parser` returns, so a caller that changes
     that parser does not change what `main` accepts.
     """
-    return build_parser(), _dispatch_table()
+    return build_parser()
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, table = _main_parser()
     # a well-formed line is one table read; anything else goes through
     # argparse, which gives help, messages and exit codes
-    args = _table_parse(table, argv)
+    args = _table_parse(_dispatch_table(), argv)
     if args is None:
         try:
-            args = parser.parse_args(argv)
+            args = _main_parser().parse_args(argv)
         except SystemExit as exc:
             # argparse exits on --help (0) and on a usage error (2); return
             # the code so an in-process caller gets it like a shell does

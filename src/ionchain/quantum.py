@@ -32,22 +32,28 @@ Propagation splits the triplets into the connected blocks of their
 pattern. A block is assembled densely and diagonalized only when a state
 with amplitude in it asks for it, and the result is kept; blocks where
 the state has no amplitude are skipped exactly. All samples of a run
-come from one product V @ (exp(-i w tau_k) * c) per live block. The
+come from one product V @ (exp(-i w tau_k) * c) per live part. The
 blocks are the conserved sectors: the full cubic generator keeps the
 parities of total x and of total y occupation and the mirror parity (8
 blocks, since the mirror-forbidden couplings are exact zeros, see
 `coupling`), and at a second-kind resonance the rotating-wave matrix
 couples |z_p = 1> only to the x-pair and y-pair states (a 3-state block
-at any cutoff). So a run from |z_p = 1> diagonalizes one parity sector
-of the full generator and the 3-state block of the rotating-wave one.
-Samples are held on the live support only, the sorted states of the
-live blocks, and the norms, populations, Schmidt entropies and
-top-Fock leakage are read from there; every amplitude outside the
-support is exactly zero. On one x86-64 core a `simulate` run with
-mode = both and 201 samples takes about 0.04 s at cutoff 3 (dimension
-1024, live support 128), 0.12 s at cutoff 4 (3125, 410) and 3.3 s at
-cutoff 6 (16807, 0.24 GB peak memory, most of it the eigh of the
-2163-state live sector).
+at any cutoff). Each builder takes the basis states to build on
+(`states`), and `simulate` passes the sectors of its initial state only:
+128 of 1024 states at cutoff 3, 410 of 3125 at cutoff 4, 2163 of 16807
+at cutoff 6. A block of at least 64 states that the x<->y exchange maps
+onto itself, entries equal to 1e-14, splits into its exchange-symmetric
+and antisymmetric parts (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), and
+only the parts the state has a component on are diagonalized: |z_p = 1>
+is exchange-symmetric, so its full run diagonalizes a 72-state part at
+cutoff 3, 218 at cutoff 4 and 1119 at cutoff 6. Samples are held on the
+live support only, the sorted basis states of the live parts, and the
+norms, populations, Schmidt entropies and top-Fock leakage are read from
+there; every amplitude outside the support is exactly zero. On one
+x86-64 core a `simulate` run with mode = both and 201 samples takes
+about 0.02 s at cutoff 3, 0.08 s at cutoff 4 and 0.6 s at cutoff 6 (89
+MB peak memory; 2.7 s and 236 MB when every generator was built on all
+basis states and the sector diagonalized whole).
 """
 
 from dataclasses import dataclass
@@ -81,6 +87,17 @@ __all__ = [
 ]
 
 DIRECTIONS = ("x", "y", "z")
+
+# Blocks below this many states are diagonalized whole: there the x<->y
+# split's bookkeeping costs about as much as the eigh it saves (the
+# 33-state sector at cutoff 2 propagates in 0.77 ms whole, 0.79 ms split).
+_SPLIT_MIN_STATES = 64
+
+# a pair's weight in its orbit vector, and the weight of an entry between
+# two orbit vectors by how many of the two orbits are pairs: 1, 1/sqrt(2)
+# or 1/2, each the correctly rounded value
+_PAIR_WEIGHT = np.sqrt(0.5)
+_ORBIT_SCALE = np.array([1.0, _PAIR_WEIGHT, 0.5])
 
 
 # --- nonlinearity scale -------------------------------------------------
@@ -297,7 +314,10 @@ class HamiltonianMatrix:
     no entry has an imaginary part, complex otherwise. Constructing from
     a dense `matrix` keeps its nonzero entries; `.matrix` gives a
     read-only dense copy, built on every request. `h_free + h_int` sums
-    two operators on one basis by concatenating their triplets.
+    two operators on one basis by concatenating their triplets. An
+    operator built on some basis states (the builders' `states`) keeps
+    them, and propagation and `expectation` refuse a state with amplitude
+    anywhere else.
     """
 
     def __init__(self, matrix, basis: FockBasis):
@@ -306,20 +326,23 @@ class HamiltonianMatrix:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match basis {dim}")
         rows, cols = np.nonzero(mat)
-        self._store(basis, rows, cols, mat[rows, cols])
+        self._store(basis, rows, cols, mat[rows, cols], None)
 
     @classmethod
-    def _from_triplets(cls, basis, rows, cols, values) -> "HamiltonianMatrix":
+    def _from_triplets(cls, basis, rows, cols, values,
+                       states=None) -> "HamiltonianMatrix":
         h = cls.__new__(cls)
-        h._store(basis, rows, cols, values)
+        h._store(basis, rows, cols, values, states)
         return h
 
-    def _store(self, basis, rows, cols, values):
+    def _store(self, basis, rows, cols, values, states):
         """Coalesce the triplets, check Hermiticity once, keep them.
 
         Repeated positions are summed in input order (so a sum of
         builders adds the same way a dense accumulation would); entries
-        that sum to exactly zero are dropped.
+        that sum to exactly zero are dropped. states is the sorted index
+        array of the basis states the operator acts on, None for all of
+        them; the builders keep every entry inside it.
         """
         dim = basis.dimension
         keys = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
@@ -347,18 +370,32 @@ class HamiltonianMatrix:
         for array in (rows, cols, summed):
             array.flags.writeable = False
         self.basis = basis
-        self._rows, self._cols, self._values = rows, cols, summed
+        self._keys, self._rows, self._cols, self._values = keys, rows, cols, summed
+        self._states = states
         self._diagonalized = {}
+        self._orbits = {}
 
     def __add__(self, other):
         if not isinstance(other, HamiltonianMatrix):
             return NotImplemented
         if other.basis != self.basis:
             raise ValueError("cannot add Hamiltonians on different bases")
+        states = None
+        if self._states is not None and other._states is not None:
+            states = _basis_states(self.basis, np.concatenate(
+                [self._states, other._states]))
         return HamiltonianMatrix._from_triplets(
             self.basis, np.concatenate([self._rows, other._rows]),
             np.concatenate([self._cols, other._cols]),
-            np.concatenate([self._values, other._values]))
+            np.concatenate([self._values, other._values]), states)
+
+    def _check_amplitudes(self, amps: np.ndarray):
+        """Raise if amps has amplitude on a state the operator leaves out."""
+        if (self._states is not None and np.count_nonzero(amps)
+                > np.count_nonzero(amps[self._states])):
+            raise ValueError(
+                "state has amplitude outside the basis states the "
+                "Hamiltonian was built on")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -390,30 +427,119 @@ class HamiltonianMatrix:
         bounds = np.searchsorted(entry_block[entry_order], np.arange(starts.size + 1))
         return ends, entry_order, bounds
 
-    def _eigensystem(self, b: int) -> tuple:
-        """(indices, eigenvalues, eigenvectors) of block b.
+    def _exchange_orbits(self, b: int):
+        """Orbits of the x<->y swap on block b as (reps, partners), or None.
 
-        The block is assembled densely from its entries and diagonalized
-        the first time it is asked for; the result is kept.
+        The swap exchanges the occupations of (x, i) and (y, i) for every
+        i. It splits block b when the block has at least
+        _SPLIT_MIN_STATES states, the swap maps it onto itself and every
+        entry equals its swapped entry to 1e-14 of the block's largest
+        one. Each orbit is a fixed state (partner == rep) or a pair,
+        represented by its smaller index; reps is sorted. Kept per block.
         """
-        if b not in self._diagonalized:
-            order, starts = self._blocks
-            ends, entry_order, bounds = self._block_entries
-            idx = order[starts[b]:ends[b]]
-            entries = entry_order[bounds[b]:bounds[b + 1]]
+        if b not in self._orbits:
+            self._orbits[b] = self._find_orbits(b)
+        return self._orbits[b]
+
+    def _find_orbits(self, b: int):
+        basis = self.basis
+        idx, entries = self._block(b)
+        if idx.size < _SPLIT_MIN_STATES:
+            return None
+        try:
+            swap = [basis.axis_of(({"x": "y", "y": "x"}.get(d, d), i))
+                    for d, i in basis.modes]
+        except ValueError:
+            return None
+        if [basis.cutoffs[k] for k in swap] != list(basis.cutoffs):
+            return None
+        occ = np.unravel_index(idx, basis.shape)
+        swapped = np.ravel_multi_index([occ[k] for k in swap], basis.shape)
+        # the block's states are sorted, so it maps onto itself exactly
+        # when its swapped states sorted are the same indices
+        if not np.array_equal(np.sort(swapped), idx):
+            return None
+        dim = basis.dimension
+        local = np.empty(dim, dtype=np.intp)
+        local[idx] = np.arange(idx.size)
+        values = self._values[entries]
+        swapped_keys = (swapped[local[self._rows[entries]]] * dim
+                        + swapped[local[self._cols[entries]]])
+        at = np.minimum(np.searchsorted(self._keys, swapped_keys),
+                        self._keys.size - 1)
+        mirrored = np.where(self._keys[at] == swapped_keys, self._values[at], 0.0)
+        scale = float(np.max(np.abs(values), initial=0.0))
+        if not np.max(np.abs(values - mirrored), initial=0.0) <= 1e-14 * scale:
+            return None
+        first = swapped >= idx
+        return idx[first], swapped[first]
+
+    def _block(self, b: int) -> tuple:
+        """(states, entries) of block b: its sorted basis indices and the
+        positions of its stored entries."""
+        order, starts = self._blocks
+        ends, entry_order, bounds = self._block_entries
+        return (order[starts[b]:ends[b]],
+                entry_order[bounds[b]:bounds[b + 1]])
+
+    def _eigensystem(self, b: int, part=None) -> tuple:
+        """(states, eigenvalues, eigenvectors) of block b or of one part.
+
+        part None is the whole block, assembled densely from its entries;
+        states are its basis indices. part +1 or -1 is the x<->y
+        symmetric or antisymmetric part of a block `_exchange_orbits`
+        splits, on the orbit vectors: a fixed state, or (|rep> +- |partner>)
+        / sqrt(2) for a pair (the antisymmetric part has pairs only).
+        states are the orbit representatives. Each part is summed from the
+        block's entries weighted by the two orbit vectors' components.
+        Diagonalized the first time it is asked for; the result is kept
+        under (b, part).
+        """
+        key = (b, part)
+        if key not in self._diagonalized:
+            idx, entries = self._block(b)
             local = np.empty(self.basis.dimension, dtype=np.intp)
             local[idx] = np.arange(idx.size)
-            block = np.zeros((idx.size, idx.size), dtype=self._values.dtype)
-            block[local[self._rows[entries]], local[self._cols[entries]]] = (
-                self._values[entries])
-            w, v = np.linalg.eigh(block)
-            self._diagonalized[b] = (idx, w, v)
-        return self._diagonalized[b]
+            r, c = local[self._rows[entries]], local[self._cols[entries]]
+            values = self._values[entries]
+            if part is None:
+                states, size, flat = idx, idx.size, r * idx.size + c
+            else:
+                reps, partners = self._exchange_orbits(b)
+                paired = partners != reps
+                keep = paired if part < 0 else np.ones(reps.size, dtype=bool)
+                states = reps[keep]
+                size = states.size
+                # per block state: its orbit's place in the part, its sign
+                # in the orbit vector (0 outside the part) and whether the
+                # orbit is a pair (weight 1/sqrt(2))
+                at_rep, at_partner = local[reps], local[partners]
+                orbit = np.empty(idx.size, dtype=np.intp)
+                orbit[at_partner] = orbit[at_rep] = np.cumsum(keep) - 1
+                sign = np.zeros(idx.size)
+                sign[at_rep] = keep
+                sign[at_partner[paired]] = part
+                pairs = np.zeros(idx.size, dtype=np.intp)
+                pairs[at_partner] = pairs[at_rep] = paired
+                factor = sign[r] * sign[c] * _ORBIT_SCALE[pairs[r] + pairs[c]]
+                inside = factor != 0.0
+                flat = (orbit[r] * size + orbit[c])[inside]
+                values = (factor * values)[inside]
+            block = np.empty(size * size, dtype=values.dtype)
+            block.real = np.bincount(flat, weights=values.real,
+                                     minlength=block.size)
+            if np.iscomplexobj(block):
+                block.imag = np.bincount(flat, weights=values.imag,
+                                         minlength=block.size)
+            w, v = np.linalg.eigh(block.reshape(size, size))
+            self._diagonalized[key] = (states, w, v)
+        return self._diagonalized[key]
 
     def expectation(self, state: QuantumState) -> float:
         if state.basis != self.basis:
             raise ValueError("state and Hamiltonian live on different bases")
         amps = state.amplitudes
+        self._check_amplitudes(amps)
         return float(np.real(np.sum(
             amps[self._rows].conj() * self._values * amps[self._cols])))
 
@@ -467,12 +593,61 @@ def _check_transverse_mirror(basis: FockBasis):
         )
 
 
-def build_free_hamiltonian(basis: FockBasis, mode_basis: ModeBasis) -> HamiltonianMatrix:
-    """Diagonal oscillator energies (zero-point offsets dropped)."""
+def _basis_states(basis: FockBasis, states) -> np.ndarray | None:
+    """states as a sorted array of distinct basis indices (None: all)."""
+    if states is None:
+        return None
+    states = np.asarray(states, dtype=np.intp)
+    if states.size and not 0 <= states.min() <= states.max() < basis.dimension:
+        raise ValueError(f"basis states must lie in 0..{basis.dimension - 1}")
+    # a mask, not np.unique: a plain unique imports numpy.ma on first use
+    return _union(basis.dimension, [states])
+
+
+def _union(dim: int, parts) -> np.ndarray:
+    """Sorted distinct indices of the index arrays in parts, all < dim."""
+    member = np.zeros(dim, dtype=bool)
+    for part in parts:
+        member[part] = True
+    return np.flatnonzero(member)
+
+
+def _sector_states(basis: FockBasis, parity, amplitudes) -> np.ndarray:
+    """Basis states of the symmetry sectors where amplitudes are nonzero.
+
+    A sector fixes the parity of the total x occupation, the parity of
+    the total y occupation and the mirror label prod_q (-s_q)^(n_q), with
+    s = `CouplingTensors.parity` of each active mode's index. Every
+    cubic monomial moves the occupations of p, m and n by one each, and
+    D_mnp vanishes unless s_m s_n s_p = -1, so no generator built here
+    joins two sectors. Returns the sorted union of the sectors that hold
+    amplitude.
+    """
+    occ = np.unravel_index(np.arange(basis.dimension), basis.shape)
+    # bit 0: total x odd, bit 1: total y odd, bit 2: mirror label -1
+    label = np.zeros(basis.dimension, dtype=np.intp)
+    for k, (direction, index) in enumerate(basis.modes):
+        bits = {"x": 1, "y": 2, "z": 0}[direction]
+        if parity[index - 1] > 0:   # -s_q = -1
+            bits |= 4
+        label ^= (occ[k] % 2) * bits
+    lit = np.bincount(label[np.flatnonzero(amplitudes)], minlength=8) > 0
+    return np.flatnonzero(lit[label])
+
+
+def build_free_hamiltonian(basis: FockBasis, mode_basis: ModeBasis,
+                           states=None) -> HamiltonianMatrix:
+    """Diagonal oscillator energies (zero-point offsets dropped).
+
+    states, a collection of basis indices, restricts the operator to those
+    states (default: every basis state).
+    """
     freqs = np.array([_mode_frequency(m, mode_basis) for m in basis.modes])
-    index = np.arange(basis.dimension)
+    states = _basis_states(basis, states)
+    index = np.arange(basis.dimension) if states is None else states
     occ = np.stack(np.unravel_index(index, basis.shape), axis=1)
-    return HamiltonianMatrix._from_triplets(basis, index, index, occ @ freqs)
+    return HamiltonianMatrix._from_triplets(basis, index, index, occ @ freqs,
+                                            states)
 
 
 def _cubic_triples(basis: FockBasis, mode_basis: ModeBasis, tensors: CouplingTensors, eps: float):
@@ -516,6 +691,7 @@ def _cubic_interaction(
     tensors: CouplingTensors,
     eps: float,
     phase_cutoff: float | None,
+    states: np.ndarray | None = None,
 ) -> tuple:
     """Cubic monomials summed on the basis by occupation arithmetic.
 
@@ -526,10 +702,11 @@ def _cubic_interaction(
     A monomial maps every basis column to at most one row, so it is
     applied to all columns at once. Returns the entries as triplets
     (rows, cols, values), monomial by monomial and uncoalesced, and the
-    number of monomials kept.
+    number of monomials kept. With states (sorted basis indices) only
+    those columns are applied, and a row outside them raises ValueError.
     """
     dim = basis.dimension
-    columns = np.arange(dim)
+    columns = np.arange(dim) if states is None else states
     # extra state dim is a sink for amplitude that left the basis
     ladders = {}
     for mode in basis.modes:
@@ -565,7 +742,16 @@ def _cubic_interaction(
             cols_out.append(columns[inside])
             values_out.append(coef * (a1[r2] * a2[r3] * a3[columns])[inside])
             kept += 1
-    return tuple(np.concatenate(part) for part in (rows_out, cols_out, values_out)), kept
+    triplets = tuple(np.concatenate(part)
+                     for part in (rows_out, cols_out, values_out))
+    if states is not None:
+        member = np.zeros(dim, dtype=bool)
+        member[states] = True
+        if not np.all(member[triplets[0]]):
+            raise ValueError(
+                "a cubic term leaves the given basis states: they are not a "
+                "union of symmetry sectors of these couplings")
+    return triplets, kept
 
 
 def build_full_interaction(
@@ -573,15 +759,21 @@ def build_full_interaction(
     mode_basis: ModeBasis,
     tensors: CouplingTensors,
     eps: float,
+    states=None,
 ) -> HamiltonianMatrix:
     """Full cubic operator, counter-rotating terms and all, on the basis.
 
     The x and y transverse directions enter the potential identically,
-    so the active set must contain them in mirrored pairs.
+    so the active set must contain them in mirrored pairs. states, a
+    collection of basis indices, restricts the operator to those states
+    (default: every basis state); it must be closed under the couplings,
+    as a union of the symmetry sectors is, or ValueError is raised.
     """
     _check_transverse_mirror(basis)
-    triplets, _kept = _cubic_interaction(basis, mode_basis, tensors, eps, None)
-    return HamiltonianMatrix._from_triplets(basis, *triplets)
+    states = _basis_states(basis, states)
+    triplets, _kept = _cubic_interaction(basis, mode_basis, tensors, eps,
+                                         None, states)
+    return HamiltonianMatrix._from_triplets(basis, *triplets, states)
 
 
 def build_rwa_interaction(
@@ -590,6 +782,7 @@ def build_rwa_interaction(
     tensors: CouplingTensors,
     eps: float,
     resonance: ResonanceEntry | None = None,
+    states=None,
 ) -> HamiltonianMatrix:
     """Rotating-wave reduction: keep only phase-matched cubic monomials.
 
@@ -602,7 +795,8 @@ def build_rwa_interaction(
 
     If a target resonance entry is passed, its axial and both transverse
     mode pairs must be active, and the mode basis must actually be at the
-    resonant anisotropy for the phases to close.
+    resonant anisotropy for the phases to close. states restricts the
+    operator as in `build_full_interaction`.
     """
     _check_transverse_mirror(basis)
     if resonance is not None:
@@ -613,13 +807,15 @@ def build_rwa_interaction(
                 f"resonance ({resonance.m},{resonance.n},{resonance.p}) needs "
                 f"active modes {missing}"
             )
-    triplets, kept = _cubic_interaction(basis, mode_basis, tensors, eps, MATCH_TOL)
+    states = _basis_states(basis, states)
+    triplets, kept = _cubic_interaction(basis, mode_basis, tensors, eps,
+                                        MATCH_TOL, states)
     if kept == 0:
         raise NoResonantCouplingError(
             f"no resonant coupling: no cubic monomial is phase-matched to "
             f"{MATCH_TOL:.1e} at alpha = {mode_basis.alpha:.6g}"
         )
-    return HamiltonianMatrix._from_triplets(basis, *triplets)
+    return HamiltonianMatrix._from_triplets(basis, *triplets, states)
 
 
 def resonance_mode_set(entry: ResonanceEntry) -> tuple:
@@ -670,30 +866,65 @@ def evolve(state: QuantumState, h: HamiltonianMatrix, duration: float) -> Quantu
 def _propagate(h: HamiltonianMatrix, amps, taus) -> tuple:
     """Amplitudes exp(-i H tau_k) amps for every tau_k on the live support.
 
-    Returns (idx, out): idx is the sorted union of the indices of the
-    blocks where amps has amplitude, and out[k, j] is the amplitude of
-    state idx[j] at tau_k, shape (K, idx.size). No stored entry joins two
-    blocks, so every amplitude outside idx is exactly zero. In a live
-    block with eigenvectors V and eigenvalues w, c = V^H amps and all K
-    samples are the one product V @ (exp(-i w tau_k) * c). Samples at
-    tau = 0 return amps unchanged.
+    Returns (idx, out): idx is the sorted union of the basis states of the
+    live parts, and out[k, j] is the amplitude of state idx[j] at tau_k,
+    shape (K, idx.size). A live block is one where amps has amplitude; a
+    block `_exchange_orbits` splits is propagated part by part, each part
+    only if amps has a component on it, and the parts' orbit amplitudes
+    are mapped back to the basis states. No stored entry joins two blocks
+    and the swap-symmetric generator joins no two parts, so every
+    amplitude outside idx is exactly zero. In a live part with
+    eigenvectors V and eigenvalues w, c = V^H amps and all K samples are
+    the one product V @ (exp(-i w tau_k) * c). Samples at tau = 0 return
+    amps unchanged. Raises if amps has amplitude on a state the operator
+    was not built on.
     """
     amps = np.asarray(amps, dtype=complex)
     taus = np.asarray(taus, dtype=float).reshape(-1)
+    h._check_amplitudes(amps)
     order, starts = h._blocks
     live = np.logical_or.reduceat(amps[order] != 0, starts)
-    systems = [h._eigensystem(b) for b in np.flatnonzero(live)]
-    idx = np.sort(np.concatenate([np.zeros(0, dtype=np.intp)]
-                                 + [block for block, _w, _v in systems]))
-    out = np.empty((taus.size, idx.size), dtype=complex)
-    for block, w, v in systems:
-        product = np.matmul if np.iscomplexobj(v) else _real_product
-        coeffs = product(v.conj().T, amps[block])
-        out[:, np.searchsorted(idx, block)] = product(
-            v, coeffs[:, None] * np.exp(-1j * np.outer(w, taus))).T
+    # (basis states, their amplitudes over the K samples) per live part
+    pieces = []
+    for b in np.flatnonzero(live):
+        orbits = h._exchange_orbits(b)
+        if orbits is None:
+            idx, w, v = h._eigensystem(b)
+            pieces.append((idx, _part_samples(w, v, amps[idx], taus)))
+            continue
+        reps, partners = orbits
+        paired = partners != reps
+        on_rep, on_partner = amps[reps], amps[partners]
+        symmetric = np.where(paired, (on_rep + on_partner) * _PAIR_WEIGHT,
+                             on_rep)
+        antisymmetric = ((on_rep - on_partner) * _PAIR_WEIGHT)[paired]
+        if np.any(symmetric != 0):
+            _, w, v = h._eigensystem(b, 1)
+            samples = _part_samples(w, v, symmetric, taus)
+            pieces.append((reps, np.where(paired, samples * _PAIR_WEIGHT,
+                                          samples)))
+            pieces.append((partners[paired],
+                           samples[:, paired] * _PAIR_WEIGHT))
+        if np.any(antisymmetric != 0):
+            _, w, v = h._eigensystem(b, -1)
+            samples = _part_samples(w, v, antisymmetric, taus) * _PAIR_WEIGHT
+            pieces.append((reps[paired], samples))
+            pieces.append((partners[paired], -samples))
+    idx = _union(amps.size, [states for states, _ in pieces])
+    out = np.zeros((taus.size, idx.size), dtype=complex)
+    for states, samples in pieces:
+        out[:, np.searchsorted(idx, states)] += samples
     # exp(-i H 0) is the identity: the initial sample stays exact
     out[taus == 0.0] = amps[idx]
     return idx, out
+
+
+def _part_samples(w: np.ndarray, v: np.ndarray, amps: np.ndarray,
+                  taus: np.ndarray) -> np.ndarray:
+    """V @ (exp(-i w tau_k) * (V^H amps)) for every tau_k, shape (K, n)."""
+    product = np.matmul if np.iscomplexobj(v) else _real_product
+    coeffs = product(v.conj().T, amps)
+    return product(v, coeffs[:, None] * np.exp(-1j * np.outer(w, taus))).T
 
 
 def _real_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -253,6 +253,17 @@ class _Chain:
     def alpha_crit(self) -> float:
         return modes_mod.critical_anisotropy(self.probe.mu)
 
+    def basis_at(self, alpha: float) -> modes_mod.ModeBasis:
+        """`mode_basis(u, alpha)`, bit-equal, from the probe's spectrum.
+
+        No eigh: the probe's sign-fixed vectors are copied and taken to
+        alpha, with the checks and messages of `diagonalize`.
+        """
+        if not alpha > 0.0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        return modes_mod._at_alpha(self.probe.mu, self.probe.vectors.copy(),
+                                   alpha)
+
 
 def _check_length(n_ions: int, n_cap: int = 10) -> None:
     """Raise unless 2 <= n_ions <= n_cap, the guard of `build_catalog`."""

@@ -362,6 +362,18 @@ def test_integrate_batch_argument_validation(two_ion_setup, chains):
             classical.integrate_batch(u, [basis], dt=dt, t_final=t_final)
 
 
+@pytest.mark.parametrize("dt, t_final", [(1e-300, 1e300),
+                                         (np.float64(1e-300), 1e300),
+                                         (1e-3, np.inf)])
+def test_overflowing_step_count_is_a_value_error(two_ion_setup, dt, t_final):
+    u, basis = two_ion_setup
+    message = "give no finite number of steps"
+    with pytest.raises(ValueError, match=message):
+        classical._time_grid(dt, t_final, 1)
+    with pytest.raises(ValueError, match=message):
+        classical.integrate_batch(u, [basis], dt=dt, t_final=t_final)
+
+
 def test_energy_conservation(two_ion_setup):
     u, basis = two_ion_setup
     traj = classical.integrate(

@@ -285,6 +285,18 @@ def test_classical_short_run_fails_before_integration(tmp_path, capsys,
         message)
 
 
+def test_classical_overflowing_step_count_fails_before_solving(
+        tmp_path, capsys, monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("solved a chain before the config was checked")
+
+    monkeypatch.setattr(cli.resonances_mod, "_solve_chain", no_chain)
+    _assert_fails_before_integration(
+        tmp_path, capsys, monkeypatch,
+        "n = 6\nresonance = 6,5,5\ndt = 1e-300\nt_final = 1e300\n",
+        "t_final = 1e+300 and dt = 1e-300 give no finite number of steps")
+
+
 def test_classical_run_of_sixteen_samples_has_spectra(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 2\nalpha = 0.5\nt_final = 0.015\nstride = 1\n"
@@ -887,6 +899,32 @@ def test_classical_run_artifacts(tmp_path, capsys):
     assert manifest["parameters"]["windowed_energy_drift"] < 1e-6
 
 
+def test_warm_runs_solve_no_axial_spectrum(tmp_path, capsys, monkeypatch):
+    # the memoised chain holds the spectrum: a warm simulate and a warm
+    # detuned classical run take every mode basis from it, without an eigh
+    sim = tmp_path / "sim.cfg"
+    sim.write_text(SIM_CONFIG)
+    run = tmp_path / "run.cfg"
+    run.write_text("n = 6\nresonance = 6,5,5\ndetune = 0.2\n"
+                   "displacement = z5:0.01,x5:1e-6\n"
+                   "dt = 2e-3\nt_final = 1\nstride = 1\n")
+    argvs = [["simulate", str(sim)], ["classical", str(run)]]
+    for argv in argvs:
+        assert run_cli(capsys, *argv)[0] == 0
+    calls = []
+    real = modes._spectrum
+
+    def spy(axial):
+        calls.append(axial)
+        return real(axial)
+
+    monkeypatch.setattr(modes, "_spectrum", spy)
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out and err == ""
+    assert calls == []
+
+
 def test_classical_transfer_wiring(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -1136,7 +1174,7 @@ BENCH_LINES = [
 @example(argv=["equilibrium", "--n", "2", "--species", ""])
 @example(argv=["epsilon", "--omega3", "2e6", "--species", "-x"])
 def test_dispatch_table_agrees_with_parse_args(argv):
-    parser, table = cli._main_parser()
+    parser, table = cli._main_parser(), cli._dispatch_table()
     fast = cli._table_parse(table, argv)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
@@ -1150,7 +1188,7 @@ def test_dispatch_table_agrees_with_parse_args(argv):
 def test_dispatch_table_models_every_subcommand_option():
     # the parser and the table are built from one declaration; read back
     # from the parser's own actions, each argument has the table's slot
-    parser, table = cli._main_parser()
+    parser, table = cli._main_parser(), cli._dispatch_table()
     assert sorted(table) == sorted(_COMMANDS)
     for name, sub in _subcommands(parser).items():
         options, positionals, required, _ = table[name]
@@ -1184,12 +1222,39 @@ def test_bench_command_lines_skip_parse_args(tmp_path, capsys, monkeypatch):
 
 
 def test_clearing_the_parser_memo_rebuilds_the_table():
-    parser, table = cli._main_parser()
+    parser, table = cli._main_parser(), cli._dispatch_table()
+    assert cli._main_parser() is parser and cli._dispatch_table() is table
     cli._main_parser.cache_clear()
-    rebuilt, new_table = cli._main_parser()
+    cli._dispatch_table.cache_clear()
+    rebuilt, new_table = cli._main_parser(), cli._dispatch_table()
     assert rebuilt is not parser and new_table is not table
     assert new_table == table
     assert new_table["tables"][0]["--n"] == ("n", cli._n_range, None)
+
+
+def test_table_lines_build_no_parser(tmp_path, capsys, monkeypatch):
+    # a line the table parses never builds the argparse parser; the first
+    # declined line builds it once, and later ones reuse it
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._main_parser.cache_clear()
+    try:
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "equilibrium", "--n", "2")
+            assert code == 0 and out == PLAIN_TABLE
+        assert built == []
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "equilibrium", "--n=2")
+            assert code == 0 and out == PLAIN_TABLE
+        assert built == [1]
+    finally:
+        cli._main_parser.cache_clear()
 
 
 # argparse internals the CLI once read its own arguments back through

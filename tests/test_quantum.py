@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionchain import coupling, equilibrium, modes, quantum, resonances
+from ionchain import cli, coupling, equilibrium, modes, quantum, resonances
 from ionchain.errors import NoResonantCouplingError
 
 from golden import EPSILON_ROWS
@@ -426,7 +426,11 @@ def _dense_propagate(h, amps, taus):
 
 
 def _reference_propagate(h, amps, taus):
-    """Dense block propagation, every live block written into (K, dim)."""
+    """Whole-block propagation, every live block written into (K, dim).
+
+    Each live block is diagonalized whole, never split into its x<->y
+    parts: the oracle the split engine is held to.
+    """
     amps = np.asarray(amps, dtype=complex)
     taus = np.asarray(taus, dtype=float)
     order, starts = h._blocks
@@ -450,13 +454,20 @@ def test_support_samples_scatter_to_dense_reference(six_ion_resonance, cutoff):
               fock.number_state({("x", 5): 1}),
               (fock.number_state(psi) + fock.number_state({("x", 5): 1}))
               / np.sqrt(2.0)]
+    order, block_starts = h._blocks
     for amps, n_live in zip(starts, (1, 1, 2)):
         idx, out = quantum._propagate(h, amps, taus)
         assert np.all(np.diff(idx) > 0) and out.shape == (taus.size, idx.size)
         dense = _reference_propagate(h, amps, taus)
-        assert np.array_equal(_dense_propagate(h, amps, taus), dense)
+        got = _dense_propagate(h, amps, taus)
+        live = np.flatnonzero(np.logical_or.reduceat(amps[order] != 0,
+                                                     block_starts))
+        if all(h._exchange_orbits(b) is None for b in live):
+            assert np.array_equal(got, dense)
+        else:
+            # the x<->y parts are diagonalized apart from the whole block
+            assert np.max(np.abs(got - dense)) <= 5e-12
         # nothing outside the support: the live blocks' states, all of them
-        order, block_starts = h._blocks
         blocks = np.split(order, block_starts[1:])
         live = [b for b in blocks if np.any(amps[b] != 0)]
         assert len(live) == n_live
@@ -529,6 +540,216 @@ def test_only_the_live_block_is_diagonalized(six_ion_resonance, cutoff):
     quantum._propagate(h_rwa, fock.number_state(psi), [1.0])
     ((_b, (idx, _w, _v)),) = h_rwa._diagonalized.items()
     assert len(idx) == 3
+
+
+# --- symmetry sectors and x<->y exchange parts ---------------------------
+
+_STARTS = [{("z", 5): 1}, {("x", 5): 1}, {}, {("z", 5): 2}]
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+def test_sector_build_restricts_the_whole_basis_triplets(six_ion_resonance,
+                                                         cutoff):
+    entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, cutoff)
+    eps = 7.09e-4
+    whole = {
+        "full": quantum.build_free_hamiltonian(fock, basis)
+        + quantum.build_full_interaction(fock, basis, tensors, eps),
+        "rwa": quantum.build_rwa_interaction(fock, basis, tensors, eps,
+                                             resonance=entry)}
+    everything = np.arange(fock.dimension)
+    labels = np.array(_sector_parities(fock, tensors, everything,
+                                       np.arange(fock.dimension)))
+    for occ in _STARTS:
+        amps = fock.number_state(occ)
+        states = quantum._sector_states(fock, tensors.parity, amps)
+        # the sector: every state with the start's three labels
+        start = fock.index_of(occ)
+        assert np.array_equal(
+            states, np.flatnonzero((labels == labels[start]).all(axis=1)))
+        built = {
+            "full": quantum.build_free_hamiltonian(fock, basis, states=states)
+            + quantum.build_full_interaction(fock, basis, tensors, eps,
+                                             states=states),
+            "rwa": quantum.build_rwa_interaction(fock, basis, tensors, eps,
+                                                 resonance=entry,
+                                                 states=states)}
+        for label, h in built.items():
+            ref = whole[label]
+            inside = np.isin(ref._rows, states)
+            for name in ("_rows", "_cols", "_values"):
+                assert np.array_equal(getattr(h, name),
+                                      getattr(ref, name)[inside])
+            assert np.array_equal(h._states, states)
+        # the sector is the live support of the whole-basis generator
+        idx, _ = quantum._propagate(whole["full"], amps, [1.0])
+        assert np.array_equal(idx, states)
+
+
+def test_sector_sizes(six_ion_resonance):
+    entry, basis, tensors, _ = _six_ion_fock(six_ion_resonance, 2)
+    for cutoff, size in ((3, 128), (4, 410), (6, 2163)):
+        fock = quantum.FockBasis.uniform(quantum.resonance_mode_set(entry),
+                                         cutoff)
+        states = quantum._sector_states(
+            fock, tensors.parity, fock.number_state({("z", 5): 1}))
+        assert states.size == size
+    # a superposition lights the union of its sectors
+    fock = quantum.FockBasis.uniform(quantum.resonance_mode_set(entry), 3)
+    amps = fock.number_state({("z", 5): 1}) + fock.number_state({("x", 5): 1})
+    union = quantum._sector_states(fock, tensors.parity, amps)
+    assert union.size == 256
+
+
+def test_parity_forbidden_coupling_makes_the_builder_raise(six_ion_resonance):
+    entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, 2)
+    states = quantum._sector_states(fock, tensors.parity,
+                                     fock.number_state({("z", 5): 1}))
+    mode = np.array(tensors.mode)
+    # (5, 5, 5): s_5^3 = s_5, a parity-forbidden triple when s_5 = +1
+    p = next(i for i in (5, 6) if tensors.parity[i - 1] > 0)
+    assert mode[p - 1, p - 1, p - 1] == 0.0
+    mode[p - 1, p - 1, p - 1] = 1.0
+    planted = coupling.CouplingTensors(ion=tensors.ion, mode=mode,
+                                       stretch_norm=tensors.stretch_norm,
+                                       parity=tensors.parity)
+    planted_fock = quantum.FockBasis.uniform(
+        (("z", p),) + tuple(m for m in fock.modes if m[0] != "z"), 2)
+    planted_states = quantum._sector_states(
+        planted_fock, tensors.parity,
+        planted_fock.number_state({("z", p): 1}))
+    with pytest.raises(ValueError, match="leaves the given basis states"):
+        quantum.build_full_interaction(planted_fock, basis, planted, 7.09e-4,
+                                       states=planted_states)
+    # the whole basis takes it, and the true tensors build on the sector
+    quantum.build_full_interaction(planted_fock, basis, planted, 7.09e-4)
+    quantum.build_full_interaction(fock, basis, tensors, 7.09e-4,
+                                   states=states)
+    with pytest.raises(ValueError, match="must lie in"):
+        quantum.build_free_hamiltonian(fock, basis, states=[fock.dimension])
+
+
+def test_sector_operator_refuses_amplitude_outside(six_ion_resonance):
+    entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, 2)
+    pump = fock.number_state({("z", 5): 1})
+    states = quantum._sector_states(fock, tensors.parity, pump)
+    h_free = quantum.build_free_hamiltonian(fock, basis, states=states)
+    h = h_free + quantum.build_full_interaction(fock, basis, tensors, 7.09e-4,
+                                                states=states)
+    other = quantum.QuantumState(basis=fock,
+                                 amplitudes=fock.number_state({("x", 5): 1}))
+    for call in (lambda: quantum._propagate(h, other.amplitudes, [1.0]),
+                 lambda: quantum.evolve(other, h, 1.0),
+                 lambda: h.expectation(other)):
+        with pytest.raises(ValueError, match="outside the basis states"):
+            call()
+    state = quantum.QuantumState(basis=fock, amplitudes=pump)
+    assert abs(h.expectation(state) - np.sqrt(basis.mu[4])) < 1e-12
+    # a sum keeps the union of the two state sets; the whole basis wins
+    other_states = quantum._sector_states(fock, tensors.parity,
+                                          other.amplitudes)
+    both = h + quantum.build_free_hamiltonian(fock, basis,
+                                              states=other_states)
+    assert np.array_equal(both._states, np.union1d(states, other_states))
+    assert (h + quantum.build_free_hamiltonian(fock, basis))._states is None
+
+
+@pytest.mark.parametrize("cutoff", [3, 4])
+def test_exchange_split_matches_whole_block_oracle(six_ion_resonance, cutoff):
+    entry, fock, h = _full_generator(six_ion_resonance, cutoff)
+    taus = np.linspace(0.0, 1204.0, 29)
+    symmetric = fock.number_state({("z", 5): 1})
+    breaking = fock.number_state({("x", 5): 1})
+    # |x5 y6> is (symmetric + antisymmetric orbit vector) / sqrt(2)
+    both_parts = fock.number_state({("x", 5): 1, ("y", 6): 1})
+    order, starts = h._blocks
+    lit = {}
+    for name, amps in (("symmetric", symmetric), ("breaking", breaking),
+                       ("both", both_parts)):
+        before = set(h._diagonalized)
+        got = _dense_propagate(h, amps, taus)
+        lit[name] = sorted(set(h._diagonalized) - before,
+                           key=lambda k: (k[0], k[1] or 0))
+        assert np.max(np.abs(got - _reference_propagate(h, amps, taus))) <= 5e-12
+        assert np.array_equal(got[0], amps)
+    (block, part), = lit["symmetric"]
+    assert part == 1 and h._exchange_orbits(block) is not None
+    # x5 alone breaks the swap: its block maps onto the y5 block
+    (block, part), = lit["breaking"]
+    assert part is None and h._exchange_orbits(block) is None
+    assert [part for _b, part in lit["both"]] == [-1, 1]
+
+
+def test_exchange_orbits_and_parts(six_ion_resonance):
+    _, fock, h = _full_generator(six_ion_resonance, 3)
+    pump = fock.index_of({("z", 5): 1})
+    order, starts = h._blocks
+    b = next(b for b, idx in enumerate(np.split(order, starts[1:]))
+             if pump in idx)
+    reps, partners = h._exchange_orbits(b)
+    paired = reps != partners
+    assert np.all(np.diff(reps) > 0) and np.all(partners >= reps)
+    swap = [fock.axis_of(({"x": "y", "y": "x"}.get(d, d), i))
+            for d, i in fock.modes]
+    for rep, partner in zip(reps, partners):
+        occ = np.unravel_index(rep, fock.shape)
+        assert np.ravel_multi_index([occ[k] for k in swap],
+                                    fock.shape) == partner
+    assert reps.size == 72 and paired.sum() == 56
+    # the parts are the block in the orbit basis, one after the other
+    idx = np.sort(np.concatenate([reps, partners[paired]]))
+    block = h.matrix[np.ix_(idx, idx)]
+    at = {i: k for k, i in enumerate(idx)}
+    for part in (1, -1):
+        states, w, v = h._eigensystem(b, part)
+        keep = paired if part < 0 else np.ones(reps.size, dtype=bool)
+        assert np.array_equal(states, reps[keep])
+        basis_vectors = np.zeros((idx.size, states.size))
+        for k, (rep, partner) in enumerate(zip(reps[keep], partners[keep])):
+            if rep == partner:
+                basis_vectors[at[rep], k] = 1.0
+            else:
+                basis_vectors[at[rep], k] = np.sqrt(0.5)
+                basis_vectors[at[partner], k] = part * np.sqrt(0.5)
+        ref = basis_vectors.T @ block @ basis_vectors
+        assert np.max(np.abs(v @ np.diag(w) @ v.T - ref)) <= 1e-13
+    # one 125-state block: split while the swap maps its entries onto
+    # equal ones, whole once one entry differs by more than 1e-14 of the
+    # largest or the basis has no swap
+    fock3 = quantum.FockBasis.uniform((("z", 1), ("x", 1), ("y", 1)), 4)
+    ones = np.ones((fock3.dimension, fock3.dimension))
+    assert quantum.HamiltonianMatrix(ones, fock3)._exchange_orbits(0)
+    i, j = fock3.index_of({("x", 1): 1}), fock3.index_of({("z", 1): 2})
+    tilted = ones.copy()
+    tilted[i, j] = tilted[j, i] = 1.0 + 1e-13
+    assert quantum.HamiltonianMatrix(tilted, fock3)._exchange_orbits(0) is None
+    for other in (quantum.FockBasis.uniform((("z", 1), ("x", 1), ("x", 2)), 4),
+                  quantum.FockBasis((("z", 1), ("x", 1), ("y", 1)), (4, 4, 3)),
+                  quantum.FockBasis.uniform((("z", 1), ("x", 1), ("y", 1)), 2)):
+        h_other = quantum.HamiltonianMatrix(
+            np.ones((other.dimension, other.dimension)), other)
+        assert h_other._exchange_orbits(0) is None
+
+
+def test_full_run_diagonalizes_one_part_of_72_states(tmp_path, capsys,
+                                                     monkeypatch):
+    seen = []
+    real = quantum._propagate
+
+    def spy(h, amps, taus):
+        seen.append(h)
+        return real(h, amps, taus)
+
+    monkeypatch.setattr(quantum, "_propagate", spy)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("n = 6\nresonance = 6,5,5\ncutoff = 3\nsamples = 5\n"
+                   "mode = full\n")
+    assert cli.main(["simulate", str(cfg)]) == 0
+    capsys.readouterr()
+    (h,) = seen
+    assert h._states.size == 128
+    ((_b, part), (states, w, v)), = h._diagonalized.items()
+    assert part == 1 and states.size == 72 and v.shape == (72, 72)
 
 
 def _reference_entropy(basis, amps, axes):

@@ -5,6 +5,7 @@ from ionchain import coupling as coupling_mod
 from ionchain import equilibrium as equilibrium_mod
 from ionchain import modes, resonances
 from ionchain import modes as modes_mod
+from ionchain.errors import ZigZagError
 from ionchain.resonances import (COUPLING_FLOOR, FIRST_KIND, SECOND_KIND,
                                  ResonanceEntry, candidate_alpha, classify,
                                  delta)
@@ -314,3 +315,21 @@ def test_out_of_range_chain_raises_on_every_call(n, n_cap, monkeypatch):
         with pytest.raises(ValueError, match=message):
             resonances.build_catalog(n, n_cap=n_cap)
     assert resonances._memo_chain.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("n_ions", [2, 6, 10])
+def test_chain_basis_at_equals_mode_basis(n_ions):
+    chain = resonances._solve_chain(n_ions)
+    for alpha in (1e-3, 0.5 * chain.alpha_crit, 0.99 * chain.alpha_crit):
+        got = chain.basis_at(alpha)
+        ref = modes.mode_basis(chain.u, alpha)
+        for name in ("mu", "gamma", "vectors"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+        assert got.alpha == ref.alpha
+    # the probe's vectors are copied, not taken to alpha in place
+    assert not chain.probe.vectors.flags.writeable
+    for alpha, error in ((0.0, ValueError), (-1.0, ValueError),
+                         (float("nan"), ValueError),
+                         (chain.alpha_crit, ZigZagError)):
+        with pytest.raises(error):
+            chain.basis_at(alpha)
