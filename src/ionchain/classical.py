@@ -41,6 +41,15 @@ import numpy as np
 from .errors import UnstableTrajectoryError
 from .modes import ModeBasis
 
+__all__ = [
+    "Trajectory",
+    "accelerations",
+    "integrate",
+    "ModeProjection",
+    "mode_projection",
+    "spectrum",
+]
+
 # Any coordinate beyond this is a runaway ion, not a chain oscillation.
 POSITION_BOUND = 1.0e3
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -107,12 +106,6 @@ def _compact(cells: list):
     return joined if joined.count("\n") == len(cells) - 1 else cells
 
 
-def _rendered(write, precision: int) -> str:
-    buf = io.StringIO()
-    write(buf, precision)
-    return buf.getvalue()
-
-
 class Artifact:
     """One named table destined for stdout or a file.
 
@@ -134,15 +127,6 @@ class Artifact:
         self.headers = headers
         self.rows = rows
         self.notes = notes or []
-
-    def as_text(self, precision: int) -> str:
-        return _rendered(self.write_text, precision)
-
-    def as_csv(self, precision: int) -> str:
-        return _rendered(self.write_csv, precision)
-
-    def as_json(self, precision: int) -> str:
-        return _rendered(self.write_json, precision)
 
     def write_text(self, sink, precision: int) -> None:
         widths = [len(h) for h in self.headers]
@@ -199,9 +183,10 @@ class Artifact:
         sink.write("[]\n}\n" if separator == "[\n" else "\n  ]\n}\n")
 
 
-# the renderer of each --format
-_WRITERS = {"table": Artifact.write_text, "csv": Artifact.write_csv,
-            "json": Artifact.write_json}
+# each --format: its renderer and the extension of the files it writes
+_FORMATS = {"table": (Artifact.write_text, ".txt"),
+            "csv": (Artifact.write_csv, ".csv"),
+            "json": (Artifact.write_json, ".json")}
 
 
 def _emit(artifacts: list[Artifact], command: str, parameters: dict,
@@ -215,8 +200,7 @@ def _emit(artifacts: list[Artifact], command: str, parameters: dict,
     """
     started = getattr(args, "_t0", None)
     out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV)
-    fmt = args.format
-    write = _WRITERS[fmt]
+    write, ext = _FORMATS[args.format]
     if out_dir is None:
         for art in artifacts:
             if len(artifacts) > 1:
@@ -224,7 +208,6 @@ def _emit(artifacts: list[Artifact], command: str, parameters: dict,
             write(art, sys.stdout, args.precision)
         return 0
     os.makedirs(out_dir, exist_ok=True)
-    ext = {"table": ".txt", "csv": ".csv", "json": ".json"}[fmt]
     paths = []
     for art in artifacts:
         path = os.path.join(out_dir, art.name + ext)
@@ -322,7 +305,15 @@ def _find_entry(chain, m: int, n: int, p: int):
         f"in the N = {chain.n_ions} catalog")
 
 
-def _parse_config(path: str) -> dict[str, str]:
+# the keys each config-driven command reads
+_SIMULATE_KEYS = ("n", "species", "mass_u", "omega3", "resonance", "cutoff",
+                  "duration", "samples", "mode", "alpha", "initial")
+_CLASSICAL_KEYS = ("n", "dt", "t_final", "stride", "displacement", "velocity",
+                   "detune", "resonance", "alpha")
+
+
+def _parse_config(path: str, known: tuple[str, ...]) -> dict[str, str]:
+    """The `key = value` lines of a config; a key outside `known` fails."""
     values: dict[str, str] = {}
     try:
         with open(path) as fh:
@@ -336,7 +327,11 @@ def _parse_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in known:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}; "
+                             f"known keys: {', '.join(known)}")
+        values[key] = value.strip()
     return values
 
 
@@ -471,7 +466,7 @@ def _config_get(cfg: dict, key: str, default, cast):
 
 
 def cmd_simulate(args) -> int:
-    cfg = _parse_config(args.config)
+    cfg = _parse_config(args.config, _SIMULATE_KEYS)
     n_ions = _config_get(cfg, "n", 6, int)
     species_name = cfg.get("species", "Ca40")
     mass_u = None   # the species mass
@@ -550,9 +545,8 @@ def cmd_simulate(args) -> int:
         entropies = quantum_mod._schmidt_entropies(fock, idx, amps, x_axes)
         top_fock[label] = quantum_mod._top_fock_population(fock, idx, amps)
         live_states[label] = int(idx.size)
-        rows = [(float(t_gamma[k]), *(float(p) for p in pops[k]),
-                 float(norms[k]), float(entropies[k]))
-                for k in range(samples)]
+        # an array: the Artifact makes Python floats of one row block at a time
+        rows = np.column_stack([t_gamma, pops, norms, entropies])
         artifacts.append(Artifact(f"simulate_{label}", headers, rows))
     params = {
         "config": os.path.abspath(args.config), "n": n_ions,
@@ -582,7 +576,7 @@ def cmd_classical(args) -> int:
     the main run is projected, and the energy table goes to `Artifact`
     as one float array, which it formats and writes in row blocks.
     """
-    cfg = _parse_config(args.config)
+    cfg = _parse_config(args.config, _CLASSICAL_KEYS)
     n_ions = _config_get(cfg, "n", None, int)
     dt = _config_get(cfg, "dt", 1.0e-3, float)
     t_final = _config_get(cfg, "t_final", 100.0, float)
@@ -719,7 +713,7 @@ def cmd_classical(args) -> int:
 
 # rendering flags, accepted before or after the subcommand
 _OUTPUT_FLAGS = [
-    ("--format", {"choices": ("table", "csv", "json"), "default": "table",
+    ("--format", {"choices": tuple(_FORMATS), "default": "table",
                   "help": "output rendering"}),
     ("--precision", {"type": _positive_int, "default": 6,
                      "help": "significant digits for printed numbers"}),

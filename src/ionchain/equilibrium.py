@@ -18,7 +18,6 @@ __all__ = [
     "IonSpecies",
     "species",
     "length_scale",
-    "equilibrium_residual",
     "solve_equilibrium",
 ]
 

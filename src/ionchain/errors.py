@@ -4,6 +4,15 @@ Everything here derives from IonChainError so callers (notably the CLI)
 can separate "the physics refused" from a genuine bug.
 """
 
+__all__ = [
+    "IonChainError",
+    "ConvergenceError",
+    "ZigZagError",
+    "DegenerateModesError",
+    "NoResonantCouplingError",
+    "UnstableTrajectoryError",
+]
+
 
 class IonChainError(Exception):
     """Base class for physics-domain failures."""

@@ -326,11 +326,11 @@ class HamiltonianMatrix:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match basis {dim}")
         rows, cols = np.nonzero(mat)
-        self._store(basis, rows, cols, mat[rows, cols], None)
+        self._store(basis, rows, cols, mat[rows, cols], np.arange(dim))
 
     @classmethod
     def _from_triplets(cls, basis, rows, cols, values,
-                       states=None) -> "HamiltonianMatrix":
+                       states) -> "HamiltonianMatrix":
         h = cls.__new__(cls)
         h._store(basis, rows, cols, values, states)
         return h
@@ -341,8 +341,8 @@ class HamiltonianMatrix:
         Repeated positions are summed in input order (so a sum of
         builders adds the same way a dense accumulation would); entries
         that sum to exactly zero are dropped. states is the sorted index
-        array of the basis states the operator acts on, None for all of
-        them; the builders keep every entry inside it.
+        array of the basis states the operator acts on; the builders keep
+        every entry inside it.
         """
         dim = basis.dimension
         keys = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
@@ -380,10 +380,7 @@ class HamiltonianMatrix:
             return NotImplemented
         if other.basis != self.basis:
             raise ValueError("cannot add Hamiltonians on different bases")
-        states = None
-        if self._states is not None and other._states is not None:
-            states = _basis_states(self.basis, np.concatenate(
-                [self._states, other._states]))
+        states = _union(self.basis.dimension, [self._states, other._states])
         return HamiltonianMatrix._from_triplets(
             self.basis, np.concatenate([self._rows, other._rows]),
             np.concatenate([self._cols, other._cols]),
@@ -391,8 +388,7 @@ class HamiltonianMatrix:
 
     def _check_amplitudes(self, amps: np.ndarray):
         """Raise if amps has amplitude on a state the operator leaves out."""
-        if (self._states is not None and np.count_nonzero(amps)
-                > np.count_nonzero(amps[self._states])):
+        if np.count_nonzero(amps) > np.count_nonzero(amps[self._states]):
             raise ValueError(
                 "state has amplitude outside the basis states the "
                 "Hamiltonian was built on")
@@ -593,10 +589,10 @@ def _check_transverse_mirror(basis: FockBasis):
         )
 
 
-def _basis_states(basis: FockBasis, states) -> np.ndarray | None:
+def _basis_states(basis: FockBasis, states) -> np.ndarray:
     """states as a sorted array of distinct basis indices (None: all)."""
     if states is None:
-        return None
+        return np.arange(basis.dimension)
     states = np.asarray(states, dtype=np.intp)
     if states.size and not 0 <= states.min() <= states.max() < basis.dimension:
         raise ValueError(f"basis states must lie in 0..{basis.dimension - 1}")
@@ -644,10 +640,9 @@ def build_free_hamiltonian(basis: FockBasis, mode_basis: ModeBasis,
     """
     freqs = np.array([_mode_frequency(m, mode_basis) for m in basis.modes])
     states = _basis_states(basis, states)
-    index = np.arange(basis.dimension) if states is None else states
-    occ = np.stack(np.unravel_index(index, basis.shape), axis=1)
-    return HamiltonianMatrix._from_triplets(basis, index, index, occ @ freqs,
-                                            states)
+    occ = np.stack(np.unravel_index(states, basis.shape), axis=1)
+    return HamiltonianMatrix._from_triplets(basis, states, states,
+                                            occ @ freqs, states)
 
 
 def _cubic_triples(basis: FockBasis, mode_basis: ModeBasis, tensors: CouplingTensors, eps: float):
@@ -691,7 +686,7 @@ def _cubic_interaction(
     tensors: CouplingTensors,
     eps: float,
     phase_cutoff: float | None,
-    states: np.ndarray | None = None,
+    states: np.ndarray,
 ) -> tuple:
     """Cubic monomials summed on the basis by occupation arithmetic.
 
@@ -702,11 +697,10 @@ def _cubic_interaction(
     A monomial maps every basis column to at most one row, so it is
     applied to all columns at once. Returns the entries as triplets
     (rows, cols, values), monomial by monomial and uncoalesced, and the
-    number of monomials kept. With states (sorted basis indices) only
-    those columns are applied, and a row outside them raises ValueError.
+    number of monomials kept. Only the columns in states (sorted basis
+    indices) are applied, and a row outside them raises ValueError.
     """
     dim = basis.dimension
-    columns = np.arange(dim) if states is None else states
     # extra state dim is a sink for amplitude that left the basis
     ladders = {}
     for mode in basis.modes:
@@ -734,23 +728,22 @@ def _cubic_interaction(
             (t1, a1), (t2, a2), (t3, a3) = (
                 ladders[mode, s] for s, (mode, _freq) in zip(signs, factors)
             )
-            r3 = t3[columns]
+            r3 = t3[states]
             r2 = t2[r3]
             rows = t1[r2]
             inside = rows < dim
             rows_out.append(rows[inside])
-            cols_out.append(columns[inside])
-            values_out.append(coef * (a1[r2] * a2[r3] * a3[columns])[inside])
+            cols_out.append(states[inside])
+            values_out.append(coef * (a1[r2] * a2[r3] * a3[states])[inside])
             kept += 1
     triplets = tuple(np.concatenate(part)
                      for part in (rows_out, cols_out, values_out))
-    if states is not None:
-        member = np.zeros(dim, dtype=bool)
-        member[states] = True
-        if not np.all(member[triplets[0]]):
-            raise ValueError(
-                "a cubic term leaves the given basis states: they are not a "
-                "union of symmetry sectors of these couplings")
+    member = np.zeros(dim, dtype=bool)
+    member[states] = True
+    if not np.all(member[triplets[0]]):
+        raise ValueError(
+            "a cubic term leaves the given basis states: they are not a "
+            "union of symmetry sectors of these couplings")
     return triplets, kept
 
 

@@ -1,8 +1,14 @@
+import importlib
 import inspect
 import subprocess
 import sys
 
+import pytest
+
 import ionchain
+
+LAYER_MODULES = ["classical", "coupling", "equilibrium", "errors", "modes",
+                 "quantum", "resonances"]
 
 PUBLIC_NAMES = [
     "CODATA_VERSION",
@@ -73,6 +79,25 @@ def test_narrowed_surface_is_pinned():
 def test_every_public_name_resolves():
     for name in ionchain.__all__:
         assert hasattr(ionchain, name), name
+
+
+@pytest.mark.parametrize("name", LAYER_MODULES)
+def test_star_import_binds_exactly_the_module_all(name):
+    module = importlib.import_module(f"ionchain.{name}")
+    namespace = {}
+    exec(f"from ionchain.{name} import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(module.__all__)
+    for public in module.__all__:
+        assert hasattr(module, public), public
+
+
+def test_package_all_is_the_layer_lists():
+    assert len(ionchain.__all__) == len(set(ionchain.__all__))
+    layers = [importlib.import_module(f"ionchain.{name}").__all__
+              for name in LAYER_MODULES]
+    assert sorted(ionchain.__all__) == sorted(
+        ["CODATA_VERSION", "__version__"] + sum(layers, []))
 
 
 def test_import_loads_no_scipy():

@@ -25,6 +25,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _render(write, precision):
+    """What an Artifact renderer writes, as one string."""
+    buf = io.StringIO()
+    write(buf, precision)
+    return buf.getvalue()
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header = rows[0]
@@ -297,6 +304,19 @@ def test_classical_overflowing_step_count_fails_before_solving(
         "t_final = 1e+300 and dt = 1e-300 give no finite number of steps")
 
 
+def test_classical_unknown_config_key_fails_before_solving(
+        tmp_path, capsys, monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("solved a chain before the config was checked")
+
+    monkeypatch.setattr(cli.resonances_mod, "_solve_chain", no_chain)
+    _assert_fails_before_integration(
+        tmp_path, capsys, monkeypatch,
+        "n = 6\nresonance = 6,5,5\ndetun = 0.2\n",
+        "unknown config key 'detun'; known keys: n, dt, t_final, stride, "
+        "displacement, velocity, detune, resonance, alpha")
+
+
 def test_classical_run_of_sixteen_samples_has_spectra(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 2\nalpha = 0.5\nt_final = 0.015\nstride = 1\n"
@@ -386,6 +406,21 @@ def test_simulate_mass_fails_before_solving(tmp_path, capsys, monkeypatch,
     code, out, err = run_cli(capsys, "simulate", str(cfg))
     assert code == 1 and out == ""
     assert message in err
+
+
+def test_simulate_unknown_config_key_fails_before_solving(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a chain was solved")
+
+    monkeypatch.setattr(resonances, "_solve_chain", no_solve)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG + "cutof = 4\n")
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 1 and out == ""
+    assert ("unknown config key 'cutof'; known keys: n, species, mass_u, "
+            "omega3, resonance, cutoff, duration, samples, mode, alpha, "
+            "initial") in err
 
 
 def test_simulate_mass_overrides_the_species_mass(tmp_path, capsys):
@@ -492,9 +527,10 @@ def _tables(draw):
 def test_column_formatter_matches_row_reference(table, precision):
     headers, rows, notes = table
     art = cli.Artifact("t", headers, rows, notes)
-    assert art.as_text(precision) == _reference_text(headers, rows, notes,
-                                                     precision)
-    assert art.as_csv(precision) == _reference_csv(headers, rows, precision)
+    assert _render(art.write_text, precision) == _reference_text(
+        headers, rows, notes, precision)
+    assert _render(art.write_csv, precision) == _reference_csv(
+        headers, rows, precision)
 
 
 @settings(max_examples=300, deadline=None)
@@ -506,8 +542,8 @@ def test_column_formatter_matches_row_reference(table, precision):
 def test_json_columns_match_cell_reference(table, precision):
     headers, rows, _notes = table
     art = cli.Artifact("t", headers, rows)
-    assert art.as_json(precision) == _reference_json("t", headers, rows,
-                                                     precision)
+    assert _render(art.write_json, precision) == _reference_json(
+        "t", headers, rows, precision)
 
 
 @pytest.mark.parametrize("name, headers, rows", [
@@ -522,8 +558,8 @@ def test_json_columns_match_cell_reference(table, precision):
 def test_json_bytes_equal_indented_dumps(name, headers, rows):
     art = cli.Artifact(name, headers, rows)
     for precision in (1, 6, 17):
-        assert art.as_json(precision) == _reference_json(name, headers, rows,
-                                                         precision)
+        assert _render(art.write_json, precision) == _reference_json(
+            name, headers, rows, precision)
 
 
 # --- row blocks -----------------------------------------------------------
@@ -563,11 +599,12 @@ def test_row_blocks_render_edge_tables(monkeypatch, block):
     monkeypatch.setattr(cli, "_ROW_BLOCK", block)
     for art in _edge_artifacts():
         for precision in (1, 6, 17):
-            assert art.as_text(precision) == _REFERENCES["table"](art,
-                                                                  precision)
-            assert art.as_csv(precision) == _REFERENCES["csv"](art, precision)
-            assert art.as_json(precision) == _REFERENCES["json"](art,
-                                                                 precision)
+            assert _render(art.write_text, precision) == _REFERENCES[
+                "table"](art, precision)
+            assert _render(art.write_csv, precision) == _REFERENCES["csv"](
+                art, precision)
+            assert _render(art.write_json, precision) == _REFERENCES["json"](
+                art, precision)
 
 
 @settings(max_examples=200, deadline=None)
@@ -578,11 +615,11 @@ def test_row_blocks_match_the_references(table, precision):
     for block in (1, 2, 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "_ROW_BLOCK", block)
-            assert art.as_text(precision) == _reference_text(
+            assert _render(art.write_text, precision) == _reference_text(
                 headers, rows, notes, precision)
-            assert art.as_csv(precision) == _reference_csv(headers, rows,
-                                                           precision)
-            assert art.as_json(precision) == _reference_json(
+            assert _render(art.write_csv, precision) == _reference_csv(
+                headers, rows, precision)
+            assert _render(art.write_json, precision) == _reference_json(
                 "t", headers, rows, precision)
 
 

@@ -382,22 +382,23 @@ def test_dense_constructor_stores_real_triplets(six_ion_resonance):
 
 def test_triplet_check_rejects_missing_adjoint(six_ion_resonance):
     entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, 2)
+    every = np.arange(fock.dimension)
     (rows, cols, values), _kept = quantum._cubic_interaction(
-        fock, basis, tensors, 7.09e-4, resonances.MATCH_TOL)
+        fock, basis, tensors, 7.09e-4, resonances.MATCH_TOL, every)
     # the kept monomials come in adjoint pairs; one half alone is rejected
     upper = rows < cols
     with pytest.raises(ValueError, match="Hermitian"):
         quantum.HamiltonianMatrix._from_triplets(
-            fock, rows[upper], cols[upper], values[upper])
+            fock, rows[upper], cols[upper], values[upper], every)
     quantum.HamiltonianMatrix._from_triplets(
-        fock, rows, cols, values)
+        fock, rows, cols, values, every)
     # an entry without its adjoint passes only below 1e-12 of the scale
     one = np.array([0]), np.array([1])
-    quantum.HamiltonianMatrix._from_triplets(fock, *one, [1e-13])
+    quantum.HamiltonianMatrix._from_triplets(fock, *one, [1e-13], every)
     with pytest.raises(ValueError, match="Hermitian"):
-        quantum.HamiltonianMatrix._from_triplets(fock, *one, [1e-11])
+        quantum.HamiltonianMatrix._from_triplets(fock, *one, [1e-11], every)
     with pytest.raises(ValueError, match="Hermitian"):
-        quantum.HamiltonianMatrix._from_triplets(fock, *one, [np.nan])
+        quantum.HamiltonianMatrix._from_triplets(fock, *one, [np.nan], every)
 
 
 def test_sum_requires_one_basis(six_ion_resonance):
@@ -651,7 +652,9 @@ def test_sector_operator_refuses_amplitude_outside(six_ion_resonance):
     both = h + quantum.build_free_hamiltonian(fock, basis,
                                               states=other_states)
     assert np.array_equal(both._states, np.union1d(states, other_states))
-    assert (h + quantum.build_free_hamiltonian(fock, basis))._states is None
+    assert np.array_equal(
+        (h + quantum.build_free_hamiltonian(fock, basis))._states,
+        np.arange(fock.dimension))
 
 
 @pytest.mark.parametrize("cutoff", [3, 4])
