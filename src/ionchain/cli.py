@@ -313,8 +313,12 @@ _CLASSICAL_KEYS = ("n", "dt", "t_final", "stride", "displacement", "velocity",
 
 
 def _parse_config(path: str, known: tuple[str, ...]) -> dict[str, str]:
-    """The `key = value` lines of a config; a key outside `known` fails."""
+    """The `key = value` lines of a config.
+
+    A key outside `known`, or one given twice, fails.
+    """
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -331,6 +335,10 @@ def _parse_config(path: str, known: tuple[str, ...]) -> dict[str, str]:
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}; "
                              f"known keys: {', '.join(known)}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} repeated "
+                             f"(first at line {first_line[key]})")
+        first_line[key] = lineno
         values[key] = value.strip()
     return values
 
@@ -503,16 +511,13 @@ def cmd_simulate(args) -> int:
         quantum_mod.resonance_mode_set(entry), cutoff)
     rate_tau = abs(eps * quantum_mod.rwa_coefficient(entry, basis.mu))
 
-    psi_occ, phi_occ, chi_occ = quantum_mod.down_conversion_states(fock, entry)
+    watched = quantum_mod.down_conversion_states(fock, entry)
     initial_text = cfg.get("initial", f"z{entry.p}:1")
-    occupations = _parse_mode_map(initial_text, value_type=int)
-    state0 = quantum_mod.QuantumState(
-        basis=fock, amplitudes=fock.number_state(occupations))
+    start = fock.number_state(_parse_mode_map(initial_text, value_type=int))
 
     # no generator joins two symmetry sectors: each is built on the
     # sectors the initial state reaches only
-    states = quantum_mod._sector_states(fock, tensors.parity,
-                                        state0.amplitudes)
+    states = quantum_mod.sector_states(fock, tensors, start)
     hamiltonians = {}
     if flavor in ("rwa", "both"):
         hamiltonians["rwa"] = quantum_mod.build_rwa_interaction(
@@ -525,8 +530,7 @@ def cmd_simulate(args) -> int:
             + quantum_mod.build_full_interaction(fock, basis, tensors, eps,
                                                  states=states))
 
-    x_axes = [k for k, mode in enumerate(fock.modes) if mode[0] == "x"]
-    watched = [fock.index_of(occ) for occ in (psi_occ, phi_occ, chi_occ)]
+    x_modes = [mode for mode in fock.modes if mode[0] == "x"]
     t_gamma = np.linspace(0.0, duration, samples)
     d_tau = (t_gamma[1] - t_gamma[0]) / rate_tau
     headers = ["t_gamma", "pop_axial", "pop_y_pair", "pop_x_pair",
@@ -534,19 +538,13 @@ def cmd_simulate(args) -> int:
     artifacts = []
     top_fock, live_states = {}, {}
     for label, h in sorted(hamiltonians.items()):
-        # all samples in one propagation from the initial state, held on
-        # the live support idx only
-        idx, amps = quantum_mod._propagate(h, state0.amplitudes,
-                                           np.arange(samples) * d_tau)
-        norms = quantum_mod._checked_norms(amps)
-        # a watched state outside the support has population exactly 0
-        at = np.minimum(np.searchsorted(idx, watched), idx.size - 1)
-        pops = np.where(idx[at] == watched, np.abs(amps[:, at]) ** 2, 0.0)
-        entropies = quantum_mod._schmidt_entropies(fock, idx, amps, x_axes)
-        top_fock[label] = quantum_mod._top_fock_population(fock, idx, amps)
-        live_states[label] = int(idx.size)
+        # all samples in one run from the initial state
+        run = quantum_mod.propagate(h, start, np.arange(samples) * d_tau)
+        top_fock[label] = run.top_fock_population()
+        live_states[label] = int(run.states.size)
         # an array: the Artifact makes Python floats of one row block at a time
-        rows = np.column_stack([t_gamma, pops, norms, entropies])
+        rows = np.column_stack([t_gamma, run.populations(watched),
+                                run.norms(), run.entropies(x_modes)])
         artifacts.append(Artifact(f"simulate_{label}", headers, rows))
     params = {
         "config": os.path.abspath(args.config), "n": n_ions,

@@ -23,33 +23,36 @@ operator is index arithmetic on the mixed-radix basis: it moves state i
 by the mode's place value with amplitude sqrt(n) or sqrt(n + 1). Both
 interaction builders apply each cubic monomial to every basis column at
 once and emit its nonzero entries as (row, column, value) triplets; no
-ladder matrices are cached. A HamiltonianMatrix stores the coalesced
-triplets, real whenever no entry has an imaginary part (every physical
-matrix here), and checks once that each entry has its adjoint. Nothing
-of size dim^2 is formed on the propagation path.
+ladder matrices are cached. A HamiltonianMatrix is built from such
+triplets only: it stores them coalesced, real whenever no entry has an
+imaginary part (every physical matrix here), and checks once that each
+entry has its adjoint. Nothing of size dim^2 is formed on the
+propagation path.
 
-Propagation splits the triplets into the connected blocks of their
-pattern. A block is assembled densely and diagonalized only when a state
-with amplitude in it asks for it, and the result is kept; blocks where
-the state has no amplitude are skipped exactly. All samples of a run
-come from one product V @ (exp(-i w tau_k) * c) per live part. The
-blocks are the conserved sectors: the full cubic generator keeps the
-parities of total x and of total y occupation and the mirror parity (8
-blocks, since the mirror-forbidden couplings are exact zeros, see
-`coupling`), and at a second-kind resonance the rotating-wave matrix
-couples |z_p = 1> only to the x-pair and y-pair states (a 3-state block
-at any cutoff). Each builder takes the basis states to build on
-(`states`), and `simulate` passes the sectors of its initial state only:
-128 of 1024 states at cutoff 3, 410 of 3125 at cutoff 4, 2163 of 16807
-at cutoff 6. A block of at least 64 states that the x<->y exchange maps
-onto itself, entries equal to 1e-14, splits into its exchange-symmetric
-and antisymmetric parts (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), and
-only the parts the state has a component on are diagonalized: |z_p = 1>
-is exchange-symmetric, so its full run diagonalizes a 72-state part at
-cutoff 3, 218 at cutoff 4 and 1119 at cutoff 6. Samples are held on the
-live support only, the sorted basis states of the live parts, and the
-norms, populations, Schmidt entropies and top-Fock leakage are read from
-there; every amplitude outside the support is exactly zero. On one
+`propagate(h, start, taus)` is the one quantum run. It splits the
+triplets into the connected blocks of their pattern. A block is
+assembled densely and diagonalized only when a start with amplitude in
+it asks for it, and the result is kept on the operator for later runs;
+blocks where the start has no amplitude are skipped exactly. All
+samples of a run come from one product V @ (exp(-i w tau_k) * c) per
+live part. The blocks are the conserved sectors: the full cubic
+generator keeps the parities of total x and of total y occupation and
+the mirror parity (8 blocks, since the mirror-forbidden couplings are
+exact zeros, see `coupling`), and at a second-kind resonance the
+rotating-wave matrix couples |z_p = 1> only to the x-pair and y-pair
+states (a 3-state block at any cutoff). Each builder takes the basis
+states to build on (`states`), and `simulate` passes `sector_states` of
+its initial state: 128 of 1024 states at cutoff 3, 410 of 3125 at
+cutoff 4, 2163 of 16807 at cutoff 6. A block of at least 64 states that
+the x<->y exchange maps onto itself, entries equal to 1e-14, splits into
+its exchange-symmetric and antisymmetric parts (Sandvik, AIP Conf. Proc.
+1297, 135 (2010)), and only the parts the start has a component on are
+diagonalized: |z_p = 1> is exchange-symmetric, so its full run
+diagonalizes a 72-state part at cutoff 3, 218 at cutoff 4 and 1119 at
+cutoff 6. The returned `Propagation` holds the samples on the live
+support only, the sorted basis states of the live parts (every
+amplitude outside it is exactly zero), and reads the norms,
+populations, Schmidt entropies and top-Fock leakage from there. On one
 x86-64 core a `simulate` run with mode = both and 201 samples takes
 about 0.02 s at cutoff 3, 0.08 s at cutoff 4 and 0.6 s at cutoff 6 (89
 MB peak memory; 2.7 s and 236 MB when every generator was built on all
@@ -71,8 +74,8 @@ from .resonances import MATCH_TOL, ResonanceEntry, SECOND_KIND
 
 __all__ = [
     "FockBasis",
-    "QuantumState",
     "HamiltonianMatrix",
+    "Propagation",
     "nonlinearity_epsilon",
     "wavepacket_epsilon",
     "rwa_coefficient",
@@ -81,9 +84,9 @@ __all__ = [
     "build_free_hamiltonian",
     "build_full_interaction",
     "build_rwa_interaction",
-    "evolve",
+    "sector_states",
+    "propagate",
     "three_state_solution",
-    "entanglement_entropy",
 ]
 
 DIRECTIONS = ("x", "y", "z")
@@ -226,6 +229,9 @@ class FockBasis:
         amps[self.index_of(occupations)] = 1.0
         return amps
 
+    # the dense dim^2 ladders: no builder uses them; they stay only because
+    # the frozen benchmark harness (perfbench/spans.py, test_spans.py)
+    # reads them, until its instrumentation moves into the library
     def lowering(self, mode) -> np.ndarray:
         return _dense(self, *_ladder(self, mode, raising=False))
 
@@ -261,36 +267,6 @@ def _dense(basis: FockBasis, target: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return op
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Complex amplitudes over a FockBasis at dimensionless time tau."""
-
-    basis: FockBasis
-    amplitudes: np.ndarray
-    tau: float = 0.0
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.basis.dimension,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, "
-                f"basis dimension is {self.basis.dimension}"
-            )
-        _checked_norms(amps)
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def population(self, occupations: dict) -> float:
-        """Probability of one occupation pattern (unlisted modes = 0)."""
-        return float(np.abs(self.amplitudes[self.basis.index_of(occupations)]) ** 2)
-
-    def overlap(self, amplitudes: np.ndarray) -> complex:
-        return complex(np.vdot(np.asarray(amplitudes, dtype=complex), self.amplitudes))
-
-
 def _checked_norms(amps: np.ndarray) -> np.ndarray:
     """Norm of each amplitude vector along the last axis.
 
@@ -309,41 +285,27 @@ def _checked_norms(amps: np.ndarray) -> np.ndarray:
 class HamiltonianMatrix:
     """Hermitian operator in units of hbar*omega3 over a FockBasis.
 
-    Held as coalesced COO triplets: one (row, column, value) per nonzero
-    entry, sorted by row then column. The values are real float64 when
-    no entry has an imaginary part, complex otherwise. Constructing from
-    a dense `matrix` keeps its nonzero entries; `.matrix` gives a
-    read-only dense copy, built on every request. `h_free + h_int` sums
-    two operators on one basis by concatenating their triplets. An
-    operator built on some basis states (the builders' `states`) keeps
-    them, and propagation and `expectation` refuse a state with amplitude
-    anywhere else.
+    Built from (row, column, value) triplets over the basis indices and
+    held as coalesced COO triplets: one per nonzero entry, sorted by row
+    then column. The values are real float64 when no entry has an
+    imaginary part, complex otherwise. `.matrix` gives a read-only dense
+    copy, built on every request. `h_free + h_int` sums two operators on
+    one basis by concatenating their triplets. states, a collection of
+    basis indices (None: all), are the basis states the operator acts
+    on; every entry must lie inside them, and `propagate` refuses a
+    start with amplitude anywhere else.
     """
 
-    def __init__(self, matrix, basis: FockBasis):
-        mat = np.asarray(matrix)
-        dim = basis.dimension
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match basis {dim}")
-        rows, cols = np.nonzero(mat)
-        self._store(basis, rows, cols, mat[rows, cols], np.arange(dim))
-
-    @classmethod
-    def _from_triplets(cls, basis, rows, cols, values,
-                       states) -> "HamiltonianMatrix":
-        h = cls.__new__(cls)
-        h._store(basis, rows, cols, values, states)
-        return h
-
-    def _store(self, basis, rows, cols, values, states):
+    def __init__(self, basis: FockBasis, rows, cols, values, states=None):
         """Coalesce the triplets, check Hermiticity once, keep them.
 
         Repeated positions are summed in input order (so a sum of
         builders adds the same way a dense accumulation would); entries
-        that sum to exactly zero are dropped. states is the sorted index
-        array of the basis states the operator acts on; the builders keep
-        every entry inside it.
+        that sum to exactly zero are dropped. An entry outside states
+        raises ValueError: states must be a union of the operator's
+        blocks, as the symmetry sectors of the cubic couplings are.
         """
+        states = _basis_states(basis, states)
         dim = basis.dimension
         keys = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
         keys, inverse = np.unique(keys, return_inverse=True)
@@ -357,9 +319,16 @@ class HamiltonianMatrix:
         nonzero = summed != 0
         keys, summed = keys[nonzero], summed[nonzero]
 
+        rows, cols = keys // dim, keys % dim
+        member = np.zeros(dim, dtype=bool)
+        member[states] = True
+        if not (np.all(member[rows]) and np.all(member[cols])):
+            raise ValueError(
+                "an entry leaves the given basis states: they are not a "
+                "union of the operator's symmetry sectors")
+
         # every entry needs its adjoint: |h_ij - conj(h_ji)| <= 1e-12 scale,
         # with h_ji = 0 where no entry sits at (j, i)
-        rows, cols = keys // dim, keys % dim
         adjoint_keys = cols * dim + rows
         at = np.minimum(np.searchsorted(keys, adjoint_keys), max(keys.size - 1, 0))
         adjoint = np.where(keys[at] == adjoint_keys, summed[at], 0.0)
@@ -381,7 +350,7 @@ class HamiltonianMatrix:
         if other.basis != self.basis:
             raise ValueError("cannot add Hamiltonians on different bases")
         states = _union(self.basis.dimension, [self._states, other._states])
-        return HamiltonianMatrix._from_triplets(
+        return HamiltonianMatrix(
             self.basis, np.concatenate([self._rows, other._rows]),
             np.concatenate([self._cols, other._cols]),
             np.concatenate([self._values, other._values]), states)
@@ -531,14 +500,6 @@ class HamiltonianMatrix:
             self._diagonalized[key] = (states, w, v)
         return self._diagonalized[key]
 
-    def expectation(self, state: QuantumState) -> float:
-        if state.basis != self.basis:
-            raise ValueError("state and Hamiltonian live on different bases")
-        amps = state.amplitudes
-        self._check_amplitudes(amps)
-        return float(np.real(np.sum(
-            amps[self._rows].conj() * self._values * amps[self._cols])))
-
 
 def _connected_blocks(rows: np.ndarray, cols: np.ndarray, dim: int) -> tuple:
     """Connected components of an edge list over dim states, as (order, starts).
@@ -608,23 +569,27 @@ def _union(dim: int, parts) -> np.ndarray:
     return np.flatnonzero(member)
 
 
-def _sector_states(basis: FockBasis, parity, amplitudes) -> np.ndarray:
+def sector_states(basis: FockBasis, tensors: CouplingTensors,
+                  amplitudes) -> np.ndarray:
     """Basis states of the symmetry sectors where amplitudes are nonzero.
 
-    A sector fixes the parity of the total x occupation, the parity of
-    the total y occupation and the mirror label prod_q (-s_q)^(n_q), with
-    s = `CouplingTensors.parity` of each active mode's index. Every
-    cubic monomial moves the occupations of p, m and n by one each, and
-    D_mnp vanishes unless s_m s_n s_p = -1, so no generator built here
-    joins two sectors. Returns the sorted union of the sectors that hold
-    amplitude.
+    The builders' `states` for a run from amplitudes, a vector over the
+    basis. A sector fixes the parity of the total x occupation, the
+    parity of the total y occupation and the mirror label
+    prod_q (-s_q)^(n_q), with s = `tensors.parity` of each active mode's
+    index. Every cubic monomial moves the occupations of p, m and n by one
+    each, and D_mnp vanishes unless s_m s_n s_p = -1, so no generator
+    built here joins two sectors, and a run on these states equals the
+    run on the whole basis. Returns the sorted union of the sectors that
+    hold amplitude.
     """
+    amplitudes = _amplitude_vector(basis, amplitudes)
     occ = np.unravel_index(np.arange(basis.dimension), basis.shape)
     # bit 0: total x odd, bit 1: total y odd, bit 2: mirror label -1
     label = np.zeros(basis.dimension, dtype=np.intp)
     for k, (direction, index) in enumerate(basis.modes):
         bits = {"x": 1, "y": 2, "z": 0}[direction]
-        if parity[index - 1] > 0:   # -s_q = -1
+        if tensors.parity[index - 1] > 0:   # -s_q = -1
             bits |= 4
         label ^= (occ[k] % 2) * bits
     lit = np.bincount(label[np.flatnonzero(amplitudes)], minlength=8) > 0
@@ -641,8 +606,7 @@ def build_free_hamiltonian(basis: FockBasis, mode_basis: ModeBasis,
     freqs = np.array([_mode_frequency(m, mode_basis) for m in basis.modes])
     states = _basis_states(basis, states)
     occ = np.stack(np.unravel_index(states, basis.shape), axis=1)
-    return HamiltonianMatrix._from_triplets(basis, states, states,
-                                            occ @ freqs, states)
+    return HamiltonianMatrix(basis, states, states, occ @ freqs, states)
 
 
 def _cubic_triples(basis: FockBasis, mode_basis: ModeBasis, tensors: CouplingTensors, eps: float):
@@ -698,7 +662,7 @@ def _cubic_interaction(
     applied to all columns at once. Returns the entries as triplets
     (rows, cols, values), monomial by monomial and uncoalesced, and the
     number of monomials kept. Only the columns in states (sorted basis
-    indices) are applied, and a row outside them raises ValueError.
+    indices) are applied.
     """
     dim = basis.dimension
     # extra state dim is a sink for amplitude that left the basis
@@ -738,12 +702,6 @@ def _cubic_interaction(
             kept += 1
     triplets = tuple(np.concatenate(part)
                      for part in (rows_out, cols_out, values_out))
-    member = np.zeros(dim, dtype=bool)
-    member[states] = True
-    if not np.all(member[triplets[0]]):
-        raise ValueError(
-            "a cubic term leaves the given basis states: they are not a "
-            "union of symmetry sectors of these couplings")
     return triplets, kept
 
 
@@ -766,7 +724,7 @@ def build_full_interaction(
     states = _basis_states(basis, states)
     triplets, _kept = _cubic_interaction(basis, mode_basis, tensors, eps,
                                          None, states)
-    return HamiltonianMatrix._from_triplets(basis, *triplets, states)
+    return HamiltonianMatrix(basis, *triplets, states)
 
 
 def build_rwa_interaction(
@@ -808,7 +766,7 @@ def build_rwa_interaction(
             f"no resonant coupling: no cubic monomial is phase-matched to "
             f"{MATCH_TOL:.1e} at alpha = {mode_basis.alpha:.6g}"
         )
-    return HamiltonianMatrix._from_triplets(basis, *triplets, states)
+    return HamiltonianMatrix(basis, *triplets, states)
 
 
 def resonance_mode_set(entry: ResonanceEntry) -> tuple:
@@ -840,37 +798,97 @@ def down_conversion_states(basis: FockBasis, entry: ResonanceEntry) -> tuple:
 
 # --- propagation and analysis -------------------------------------------
 
-def evolve(state: QuantumState, h: HamiltonianMatrix, duration: float) -> QuantumState:
-    """Exact unitary step exp(-i H duration) via eigendecomposition.
+def _amplitude_vector(basis: FockBasis, amplitudes) -> np.ndarray:
+    """amplitudes as a complex vector, checked to have one per basis state."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.shape != (basis.dimension,):
+        raise ValueError(f"amplitude vector has shape {amps.shape}, "
+                         f"basis dimension is {basis.dimension}")
+    return amps
 
-    duration is dimensionless (omega3 * elapsed seconds), matching the
-    H/(hbar omega3) scaling of the matrices. The one-sample case of
-    `_propagate`: only the blocks where the state has amplitude are
-    diagonalized and propagated.
+
+@dataclass(frozen=True, eq=False)
+class Propagation:
+    """Samples of one run exp(-i H tau_k) start, held on the live support.
+
+    states are the sorted basis indices of the live support and
+    amplitudes[k, j] is the read-only amplitude of states[j] at tau_k,
+    shape (K, states.size); every amplitude outside the support is
+    exactly zero.
     """
-    if state.basis != h.basis:
-        raise ValueError("state and Hamiltonian live on different bases")
-    idx, out = _propagate(h, state.amplitudes, [duration])
-    amps = np.zeros(h.basis.dimension, dtype=complex)
-    amps[idx] = out[0]
-    return QuantumState(basis=state.basis, amplitudes=amps, tau=state.tau + duration)
+
+    basis: FockBasis
+    states: np.ndarray
+    amplitudes: np.ndarray
+
+    def norms(self) -> np.ndarray:
+        """Norm of each sample; raises if one deviates from 1 beyond 1e-9."""
+        return _checked_norms(self.amplitudes)
+
+    def populations(self, occupations) -> np.ndarray:
+        """Populations of the occupation patterns, shape (K, len(occupations)).
+
+        Each pattern is a {mode: count} dictionary (unlisted modes 0); a
+        pattern outside the support has population exactly 0.
+        """
+        watched = [self.basis.index_of(occ) for occ in occupations]
+        idx = self.states
+        at = np.minimum(np.searchsorted(idx, watched), idx.size - 1)
+        return np.where(idx[at] == watched, np.abs(self.amplitudes[:, at]) ** 2,
+                        0.0)
+
+    def entropies(self, partition) -> np.ndarray:
+        """Von Neumann entropy (nats) of each sample's reduced state.
+
+        partition is a nonempty proper subset of the active modes, listed
+        once each; computed from the Schmidt spectrum of the amplitude
+        tensor split between the partition and its complement.
+        """
+        part = []
+        for mode in partition:
+            mode = _as_mode(mode)
+            if mode in part:
+                raise ValueError(f"mode {mode} listed twice in partition")
+            part.append(mode)
+        if not part:
+            raise ValueError("partition must be nonempty")
+        axes = [self.basis.axis_of(m) for m in part]
+        if len(axes) == len(self.basis.modes):
+            raise ValueError("partition must be a proper subset of the active modes")
+        return _schmidt_entropies(self.basis, self.states, self.amplitudes, axes)
+
+    def top_fock_population(self) -> float:
+        """Largest population in the top Fock level of any mode, any sample."""
+        return _top_fock_population(self.basis, self.states, self.amplitudes)
+
+
+def propagate(h: HamiltonianMatrix, start, taus) -> Propagation:
+    """The run exp(-i H tau_k) start for every dimensionless time tau_k.
+
+    start is an amplitude vector over h.basis of norm 1 to 1e-9, with no
+    amplitude outside the basis states h was built on; tau is omega3
+    times the elapsed time. Each live block or x<->y part is diagonalized
+    once and kept on h for later runs; a sample at tau = 0 is start.
+    """
+    start = _amplitude_vector(h.basis, start)
+    _checked_norms(start)
+    idx, out = _propagate(h, start, taus)
+    for array in (idx, out):
+        array.flags.writeable = False
+    return Propagation(h.basis, idx, out)
 
 
 def _propagate(h: HamiltonianMatrix, amps, taus) -> tuple:
-    """Amplitudes exp(-i H tau_k) amps for every tau_k on the live support.
+    """(idx, out): exp(-i H tau_k) amps for every tau_k on the live support.
 
-    Returns (idx, out): idx is the sorted union of the basis states of the
-    live parts, and out[k, j] is the amplitude of state idx[j] at tau_k,
-    shape (K, idx.size). A live block is one where amps has amplitude; a
-    block `_exchange_orbits` splits is propagated part by part, each part
-    only if amps has a component on it, and the parts' orbit amplitudes
-    are mapped back to the basis states. No stored entry joins two blocks
-    and the swap-symmetric generator joins no two parts, so every
-    amplitude outside idx is exactly zero. In a live part with
-    eigenvectors V and eigenvalues w, c = V^H amps and all K samples are
-    the one product V @ (exp(-i w tau_k) * c). Samples at tau = 0 return
-    amps unchanged. Raises if amps has amplitude on a state the operator
-    was not built on.
+    idx is the sorted union of the basis states of the live parts and
+    out[k, j] the amplitude of idx[j] at tau_k. A block `_exchange_orbits`
+    splits is propagated part by part, each part only if amps has a
+    component on it, and the parts' orbit amplitudes are mapped back to
+    the basis states. No stored entry joins two blocks and the
+    swap-symmetric generator joins no two parts, so every amplitude
+    outside idx is exactly zero. Raises if amps has amplitude on a state
+    the operator was not built on.
     """
     amps = np.asarray(amps, dtype=complex)
     taus = np.asarray(taus, dtype=float).reshape(-1)
@@ -951,29 +969,6 @@ def three_state_solution(psi0, phi0, chi0, rate: float, t):
     phi = 1j * psi0 / np.sqrt(2.0) * s + phi0 * half_c2 - chi0 * half_s2
     chi = 1j * psi0 / np.sqrt(2.0) * s - phi0 * half_s2 + chi0 * half_c2
     return psi, phi, chi
-
-
-def entanglement_entropy(state: QuantumState, partition) -> float:
-    """Von Neumann entropy (nats) of the reduced state over `partition`.
-
-    partition is a nonempty proper subset of the active modes; computed
-    from the Schmidt spectrum of the amplitude tensor split between the
-    partition and its complement.
-    """
-    part = []
-    for mode in partition:
-        mode = _as_mode(mode)
-        if mode in part:
-            raise ValueError(f"mode {mode} listed twice in partition")
-        part.append(mode)
-    if not part:
-        raise ValueError("partition must be nonempty")
-    axes = [state.basis.axis_of(m) for m in part]
-    if len(axes) == len(state.basis.modes):
-        raise ValueError("partition must be a proper subset of the active modes")
-    idx = np.flatnonzero(state.amplitudes)
-    return float(_schmidt_entropies(state.basis, idx, state.amplitudes[idx],
-                                    axes)[0])
 
 
 def _schmidt_entropies(basis: FockBasis, idx: np.ndarray, amps: np.ndarray,

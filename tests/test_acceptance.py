@@ -176,18 +176,14 @@ def test_quantum_dynamics_vs_closed_form(record_criterion):
     rate = abs(eps * quantum.rwa_coefficient(entry, basis.mu))
     h_rwa = quantum.build_rwa_interaction(fock, basis, tensors, eps,
                                           resonance=entry)
-    psi_occ, phi_occ, chi_occ = quantum.down_conversion_states(fock, entry)
-    state = quantum.QuantumState(basis=fock,
-                                 amplitudes=fock.number_state(psi_occ))
+    occupations = quantum.down_conversion_states(fock, entry)
+    psi_occ, phi_occ, chi_occ = occupations
 
+    # one run: the 50 curve samples, then the half period
     t_gamma = np.linspace(0.0, 2.0 * np.pi, 50)
-    pops = np.empty((50, 3))
-    for k in range(50):
-        if k > 0:
-            state = quantum.evolve(state, h_rwa,
-                                   (t_gamma[k] - t_gamma[k - 1]) / rate)
-        pops[k] = (state.population(psi_occ), state.population(phi_occ),
-                   state.population(chi_occ))
+    run = quantum.propagate(h_rwa, fock.number_state(psi_occ),
+                            np.append(t_gamma, GAMMA_HALF_PERIOD) / rate)
+    pops = run.populations(occupations)[:50]
     ref = np.abs(np.array(quantum.three_state_solution(
         1.0, 0.0, 0.0, rate, t_gamma / rate))) ** 2
     pop_dev = float(np.max(np.abs(pops - ref.T)))
@@ -199,14 +195,13 @@ def test_quantum_dynamics_vs_closed_form(record_criterion):
                  and float(np.max(np.abs(pops[:, 1] - pops[:, 2]))) < 1e-9)
 
     # maximally converted state: both pair states with equal phase
-    state1 = quantum.QuantumState(basis=fock,
-                                  amplitudes=fock.number_state(psi_occ))
-    state1 = quantum.evolve(state1, h_rwa, GAMMA_HALF_PERIOD / rate)
+    converted = np.zeros(fock.dimension, dtype=complex)
+    converted[run.states] = run.amplitudes[-1]
     target = (fock.number_state(phi_occ)
               + fock.number_state(chi_occ)) * (1j / np.sqrt(2.0))
-    fidelity = float(np.abs(state1.overlap(target)) ** 2)
+    fidelity = float(np.abs(np.vdot(target, converted)) ** 2)
     x_pair = tuple(m for m in fock.modes if m[0] == "x")
-    entropy = quantum.entanglement_entropy(state1, x_pair)
+    entropy = float(run.entropies(x_pair)[-1])
     elapsed = time.perf_counter() - t0
 
     ok = (pop_dev < 1e-6 and shapes_ok and fidelity > 1.0 - 1e-9
@@ -231,19 +226,14 @@ def test_full_hamiltonian_tracks_reduced_model(record_criterion):
     h_full = h_free + h_int
     occupations = quantum.down_conversion_states(fock, entry)
     start = fock.number_state(occupations[0])
-    states = {"rwa": quantum.QuantumState(basis=fock, amplitudes=start),
-              "full": quantum.QuantumState(basis=fock, amplitudes=start)}
-    hams = {"rwa": h_rwa, "full": h_full}
 
     t_gamma = np.linspace(0.0, 2.0 * np.pi, 101)
     d_tau = (t_gamma[1] - t_gamma[0]) / rate
-    dev = 0.0
-    for k in range(1, 101):
-        for label in states:
-            states[label] = quantum.evolve(states[label], hams[label], d_tau)
-        dev = max(dev, max(
-            abs(states["full"].population(occ) - states["rwa"].population(occ))
-            for occ in occupations))
+    # every sample of each run in one call
+    pops = {label: quantum.propagate(h, start, np.arange(101) * d_tau)
+            .populations(occupations)
+            for label, h in (("rwa", h_rwa), ("full", h_full))}
+    dev = float(np.max(np.abs(pops["full"] - pops["rwa"])))
     elapsed = time.perf_counter() - t0
     bound = 10.0 * eps
     ok = dev < bound and elapsed < 120.0

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +25,7 @@ PUBLIC_NAMES = [
     "ModeBasis",
     "ModeProjection",
     "NoResonantCouplingError",
-    "QuantumState",
+    "Propagation",
     "ResonanceEntry",
     "SECOND_KIND",
     "Trajectory",
@@ -46,8 +47,6 @@ PUBLIC_NAMES = [
     "delta",
     "diagonalize",
     "down_conversion_states",
-    "entanglement_entropy",
-    "evolve",
     "integrate",
     "ion_tensor",
     "length_scale",
@@ -55,8 +54,10 @@ PUBLIC_NAMES = [
     "mode_projection",
     "mode_tensor",
     "nonlinearity_epsilon",
+    "propagate",
     "resonance_mode_set",
     "rwa_coefficient",
+    "sector_states",
     "solve_equilibrium",
     "species",
     "spectrum",
@@ -106,3 +107,14 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(compile(code, f"{readme.name} ## Library", "exec"), namespace)
+    # the pump starts full and the run stays normalized
+    assert namespace["pops"][0].tolist() == [1.0, 0.0, 0.0]
+    assert namespace["run"].norms().shape == (201,)

@@ -32,6 +32,21 @@ def _render(write, precision):
     return buf.getvalue()
 
 
+def _set_keys(config, lines):
+    """config with each `key = value` line of lines in place of config's
+    own line for that key, or appended where config has none."""
+    out = config.splitlines(keepends=True)
+    for line in lines.splitlines():
+        key = line.partition("=")[0].strip()
+        at = [i for i, old in enumerate(out)
+              if old.partition("=")[0].strip() == key]
+        if at:
+            out[at[0]] = line + "\n"
+        else:
+            out.append(line + "\n")
+    return "".join(out)
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header = rows[0]
@@ -368,7 +383,8 @@ def test_non_finite_flag_is_a_usage_error(capsys, argv, text):
 def test_classical_non_finite_config_fails_before_integration(
         tmp_path, capsys, monkeypatch, key, value):
     _assert_fails_before_integration(
-        tmp_path, capsys, monkeypatch, f"n = 2\nalpha = 0.5\n{key} = {value}\n",
+        tmp_path, capsys, monkeypatch,
+        _set_keys("n = 2\nalpha = 0.5\n", f"{key} = {value}"),
         f"config key '{key}' must be finite, got {value}")
 
 
@@ -383,7 +399,7 @@ def test_classical_non_finite_config_fails_before_integration(
 def test_simulate_non_finite_config_is_a_domain_error(tmp_path, capsys,
                                                       config, message):
     cfg = tmp_path / "sim.cfg"
-    cfg.write_text(SIM_CONFIG + config)
+    cfg.write_text(_set_keys(SIM_CONFIG, config))
     code, out, err = run_cli(capsys, "simulate", str(cfg))
     assert code == 1 and out == ""
     assert message in err
@@ -421,6 +437,29 @@ def test_simulate_unknown_config_key_fails_before_solving(tmp_path, capsys,
     assert ("unknown config key 'cutof'; known keys: n, species, mass_u, "
             "omega3, resonance, cutoff, duration, samples, mode, alpha, "
             "initial") in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "classical"])
+def test_repeated_config_key_fails_before_solving(tmp_path, capsys,
+                                                  monkeypatch, command):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a chain was solved")
+
+    monkeypatch.setattr(resonances, "_solve_chain", no_solve)
+    monkeypatch.setattr(resonances, "_positions", no_solve)
+    config = {"simulate": SIM_CONFIG,
+              "classical": "n = 2\nalpha = 0.5\ndisplacement = z2:1e-3\n"}
+    cfg = tmp_path / "run.cfg"
+    # the second line of a key fails, whatever lies between the two
+    text = config[command] + "# again\n\nn = 4\n"
+    cfg.write_text(text)
+    first = text.splitlines().index("n = 6" if command == "simulate"
+                                    else "n = 2") + 1
+    line = len(text.splitlines())
+    code, out, err = run_cli(capsys, command, str(cfg))
+    assert code == 1 and out == ""
+    assert err == (f"error: {cfg}:{line}: config key 'n' repeated "
+                   f"(first at line {first})\n")
 
 
 def test_simulate_mass_overrides_the_species_mass(tmp_path, capsys):
@@ -776,15 +815,34 @@ def test_simulate_output_is_deterministic(tmp_path, capsys):
 
 
 def test_simulate_rows_equal_per_sample_evolution(tmp_path, capsys):
-    _check_rows_against_evolve(tmp_path, capsys, None)
+    _check_rows_against_dense_eigh(tmp_path, capsys, None)
 
 
 def test_symmetry_breaking_start_equals_per_sample_evolution(tmp_path, capsys):
-    _check_rows_against_evolve(tmp_path, capsys, {("x", 5): 1})
+    _check_rows_against_dense_eigh(tmp_path, capsys, {("x", 5): 1})
 
 
-def _check_rows_against_evolve(tmp_path, capsys, initial):
-    """simulate's rows against evolve from the pump (initial None) or initial."""
+def _reachable(pattern, seeds):
+    """The states a chain of nonzero entries of pattern joins to seeds."""
+    reached = np.zeros(len(pattern), dtype=bool)
+    reached[seeds] = True
+    while True:
+        grown = reached | pattern[reached].any(axis=0)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def _check_rows_against_dense_eigh(tmp_path, capsys, initial):
+    """simulate's rows from the pump (initial None) or initial, sample by
+    sample against exp(-i H tau) start from an eigh of the dense matrix,
+    with the entropy from an SVD of the dense amplitude tensor: a
+    reference that shares no propagation or analysis code with `simulate`.
+
+    The eigh is of the dense block of states the start reaches: over the
+    whole matrix, eigenvalue rounding of its largest eigenvalues times
+    tau ~ 1150 moves the full run's populations by about 3e-12.
+    """
     cfg = tmp_path / "sim.cfg"
     text = SIM_CONFIG.replace("duration = 0.5", "duration = 6.0")
     if initial is not None:
@@ -810,24 +868,36 @@ def _check_rows_against_evolve(tmp_path, capsys, initial):
             "full": quantum.build_free_hamiltonian(fock, basis)
             + quantum.build_full_interaction(fock, basis, tensors, eps)}
     occs = quantum.down_conversion_states(fock, entry)
-    x_pair = tuple(m for m in fock.modes if m[0] == "x")
-    state0 = quantum.QuantumState(
-        basis=fock, amplitudes=fock.number_state(initial or occs[0]))
+    watched = [fock.index_of(o) for o in occs]
+    x_axes = [k for k, m in enumerate(fock.modes) if m[0] == "x"]
+    cut = x_axes + [k for k in range(len(fock.modes)) if k not in x_axes]
+    start = fock.number_state(initial or occs[0])
     d_tau = (6.0 / 10) / rate
     top = {}
     for label, h in hams.items():
+        dense = h.matrix
+        block = _reachable(dense != 0, np.flatnonzero(start))
+        w, v = np.linalg.eigh(dense[np.ix_(block, block)])
+        coeffs = v.conj().T @ start[block]
         rows = parse_csv((out_dir / f"simulate_{label}.csv").read_text())
         assert len(rows) == 11
         worst = 0.0
         for k, row in enumerate(rows):
-            state = quantum.evolve(state0, h, k * d_tau)
-            expected = [state.population(o) for o in occs] + [
-                state.norm(), quantum.entanglement_entropy(state, x_pair)]
+            amps = np.zeros(fock.dimension, dtype=complex)
+            # the phase w * tau with tau rounded first, as simulate's
+            # sample times are: w * k rounded first moves it by 1e-12
+            amps[block] = v @ (np.exp(-1j * w * (k * d_tau)) * coeffs)
+            tensor = np.transpose(amps.reshape(fock.shape), cut)
+            schmidt = np.linalg.svd(tensor.reshape(3 ** len(x_axes), -1),
+                                    compute_uv=False)
+            weights = schmidt[schmidt > 1e-150] ** 2
+            expected = [abs(amps[i]) ** 2 for i in watched] + [
+                np.linalg.norm(amps), -np.sum(weights * np.log(weights))]
             got = [float(row[c]) for c in ("pop_axial", "pop_y_pair",
                                            "pop_x_pair", "norm", "entropy_x")]
             worst = max(worst, np.max(np.abs(np.subtract(got, expected))))
             top[label] = max(top.get(label, 0.0), max(
-                sum(abs(state.amplitudes[i]) ** 2
+                sum(abs(amps[i]) ** 2
                     for i in range(fock.dimension)
                     if fock.occupations(i)[mode] == 2)
                 for mode in fock.modes))
@@ -1309,6 +1379,22 @@ def test_cli_reads_no_private_argparse_name():
             node.attr in _PRIVATE_ARGPARSE
             or (node.attr[:1] == "_" and isinstance(node.value, ast.Name)
                 and node.value.id == "argparse"))]
+    assert reads == []
+
+
+def test_cli_reads_no_private_quantum_name():
+    # the quantum run goes through the public `quantum` API only
+    path = Path(cli.__file__)
+    reads = [
+        f"{path.name}:{node.lineno}: {node.attr}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and isinstance(node.value, ast.Name) and node.value.id == "quantum_mod"]
+    reads += [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "quantum"
+        for alias in node.names if alias.name.startswith("_")]
     assert reads == []
 
 

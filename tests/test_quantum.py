@@ -205,9 +205,15 @@ def test_builders_match_dense_reference(six_ion_resonance, cutoff):
                                             phase_cutoff=resonances.MATCH_TOL))) <= 1e-15
 
 
-def _dense_evolve(state, h, duration):
+def _from_dense(mat, basis):
+    """The operator holding the nonzero entries of a dense matrix."""
+    rows, cols = np.nonzero(mat)
+    return quantum.HamiltonianMatrix(basis, rows, cols, mat[rows, cols])
+
+
+def _dense_evolve(amps, h, duration):
     w, v = np.linalg.eigh(h.matrix)
-    return v @ (np.exp(-1j * w * duration) * (v.conj().T @ state.amplitudes))
+    return v @ (np.exp(-1j * w * duration) * (v.conj().T @ amps))
 
 
 def test_sectored_evolve_matches_whole_matrix_eigh(six_ion_resonance):
@@ -220,12 +226,12 @@ def test_sectored_evolve_matches_whole_matrix_eigh(six_ion_resonance):
     psi, _, _ = quantum.down_conversion_states(fock, entry)
     spread = rng.normal(size=fock.dimension) + 1j * rng.normal(size=fock.dimension)
     for amps in (fock.number_state(psi), spread / np.linalg.norm(spread)):
-        state = quantum.QuantumState(basis=fock, amplitudes=amps)
         # steps of the size the simulate command takes; over much longer
         # steps both sides carry eigenvalue rounding times the duration
-        for duration in (0.3, 7.0):
-            got = quantum.evolve(state, h, duration).amplitudes
-            assert np.max(np.abs(got - _dense_evolve(state, h, duration))) <= 1e-12
+        durations = (0.3, 7.0)
+        for got, duration in zip(_dense_propagate(h, amps, durations),
+                                 durations):
+            assert np.max(np.abs(got - _dense_evolve(amps, h, duration))) <= 1e-12
 
 
 def _reference_components(pattern):
@@ -270,7 +276,7 @@ def test_sectored_evolve_on_planted_blocks():
     labels[0] = 3
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = (mat + mat.conj().T) * (labels[:, None] == labels[None, :])
-    h = quantum.HamiltonianMatrix(matrix=mat, basis=fock)
+    h = _from_dense(mat, fock)
     order, starts = h._blocks
     blocks = [h._eigensystem(b) for b in range(len(starts))]
     assert sorted(len(idx) for idx, _w, _v in blocks) == sorted(
@@ -282,10 +288,9 @@ def test_sectored_evolve_on_planted_blocks():
     # amplitude in every block, then in one block only (the rest skipped)
     one_block = np.where(labels == 1, spread, 0.0)
     for amps in (spread, one_block):
-        state = quantum.QuantumState(basis=fock,
-                                     amplitudes=amps / np.linalg.norm(amps))
-        got = quantum.evolve(state, h, 0.9).amplitudes
-        assert np.max(np.abs(got - _dense_evolve(state, h, 0.9))) <= 1e-12
+        amps = amps / np.linalg.norm(amps)
+        (got,) = _dense_propagate(h, amps, [0.9])
+        assert np.max(np.abs(got - _dense_evolve(amps, h, 0.9))) <= 1e-12
     assert np.all(got[labels != 1] == 0.0)
 
 
@@ -365,19 +370,27 @@ def test_triplets_are_real_coalesced_and_sum_exactly(six_ion_resonance,
     assert not total.matrix.flags.writeable
 
 
-def test_dense_constructor_stores_real_triplets(six_ion_resonance):
+def test_constructor_stores_real_triplets(six_ion_resonance):
     *_, fock = six_ion_resonance
     dim = fock.dimension
     mat = np.zeros((dim, dim), dtype=complex)
     mat[0, 1] = mat[1, 0] = 0.5
     mat[2, 2] = 1.0
-    h = quantum.HamiltonianMatrix(matrix=mat, basis=fock)
+    h = _from_dense(mat, fock)
     assert h._values.dtype == np.float64
     assert np.array_equal(h.matrix, mat.real)
+    assert np.array_equal(h._states, np.arange(dim))
     mat[0, 1], mat[1, 0] = 0.5j, -0.5j
-    h = quantum.HamiltonianMatrix(matrix=mat, basis=fock)
+    h = _from_dense(mat, fock)
     assert np.iscomplexobj(h._values)
     assert np.array_equal(h.matrix, mat)
+    # states are sorted and deduplicated, and must hold every entry
+    h = quantum.HamiltonianMatrix(fock, [2, 0, 1], [2, 1, 0], [1.0, 0.5, 0.5],
+                                  states=[2, 1, 0, 2])
+    assert np.array_equal(h._states, [0, 1, 2])
+    with pytest.raises(ValueError, match="leaves the given basis states"):
+        quantum.HamiltonianMatrix(fock, [0, 1], [1, 0], [0.5, 0.5],
+                                  states=[0, 2])
 
 
 def test_triplet_check_rejects_missing_adjoint(six_ion_resonance):
@@ -388,17 +401,16 @@ def test_triplet_check_rejects_missing_adjoint(six_ion_resonance):
     # the kept monomials come in adjoint pairs; one half alone is rejected
     upper = rows < cols
     with pytest.raises(ValueError, match="Hermitian"):
-        quantum.HamiltonianMatrix._from_triplets(
+        quantum.HamiltonianMatrix(
             fock, rows[upper], cols[upper], values[upper], every)
-    quantum.HamiltonianMatrix._from_triplets(
-        fock, rows, cols, values, every)
+    quantum.HamiltonianMatrix(fock, rows, cols, values, every)
     # an entry without its adjoint passes only below 1e-12 of the scale
     one = np.array([0]), np.array([1])
-    quantum.HamiltonianMatrix._from_triplets(fock, *one, [1e-13], every)
+    quantum.HamiltonianMatrix(fock, *one, [1e-13], every)
     with pytest.raises(ValueError, match="Hermitian"):
-        quantum.HamiltonianMatrix._from_triplets(fock, *one, [1e-11], every)
+        quantum.HamiltonianMatrix(fock, *one, [1e-11], every)
     with pytest.raises(ValueError, match="Hermitian"):
-        quantum.HamiltonianMatrix._from_triplets(fock, *one, [np.nan], every)
+        quantum.HamiltonianMatrix(fock, *one, [np.nan], every)
 
 
 def test_sum_requires_one_basis(six_ion_resonance):
@@ -423,7 +435,8 @@ def _scatter(basis, idx, out):
 
 
 def _dense_propagate(h, amps, taus):
-    return _scatter(h.basis, *quantum._propagate(h, amps, taus))
+    run = quantum.propagate(h, amps, taus)
+    return _scatter(h.basis, run.states, run.amplitudes)
 
 
 def _reference_propagate(h, amps, taus):
@@ -457,8 +470,11 @@ def test_support_samples_scatter_to_dense_reference(six_ion_resonance, cutoff):
               / np.sqrt(2.0)]
     order, block_starts = h._blocks
     for amps, n_live in zip(starts, (1, 1, 2)):
-        idx, out = quantum._propagate(h, amps, taus)
-        assert np.all(np.diff(idx) > 0) and out.shape == (taus.size, idx.size)
+        run = quantum.propagate(h, amps, taus)
+        idx = run.states
+        assert np.all(np.diff(idx) > 0)
+        assert run.amplitudes.shape == (taus.size, idx.size)
+        assert not (idx.flags.writeable or run.amplitudes.flags.writeable)
         dense = _reference_propagate(h, amps, taus)
         got = _dense_propagate(h, amps, taus)
         live = np.flatnonzero(np.logical_or.reduceat(amps[order] != 0,
@@ -494,7 +510,7 @@ def test_propagate_on_planted_complex_blocks():
     labels = rng.permutation(np.arange(dim) % 4)
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = (mat + mat.conj().T) * (labels[:, None] == labels[None, :])
-    h = quantum.HamiltonianMatrix(matrix=mat, basis=fock)
+    h = _from_dense(mat, fock)
     assert np.iscomplexobj(h._values)
     taus = np.linspace(0.0, 2.0, 7)
     spread = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -503,20 +519,24 @@ def test_propagate_on_planted_complex_blocks():
         amps = amps / np.linalg.norm(amps)
         got = _dense_propagate(h, amps, taus)
         assert np.max(np.abs(got - _whole_matrix_samples(h, amps, taus))) <= 1e-12
-    assert np.array_equal(quantum._propagate(h, amps, taus)[0],
+    assert np.array_equal(quantum.propagate(h, amps, taus).states,
                           np.flatnonzero(labels % 2 == 0))
 
 
 def test_propagate_matches_repeated_evolve(six_ion_resonance):
     entry, fock, h = _full_generator(six_ion_resonance)
     psi, _, _ = quantum.down_conversion_states(fock, entry)
-    state = quantum.QuantumState(basis=fock, amplitudes=fock.number_state(psi))
+    amps = fock.number_state(psi)
     step = 0.37
-    batched = _dense_propagate(h, state.amplitudes, np.arange(40) * step)
+    batched = _dense_propagate(h, amps, np.arange(40) * step)
+    # one dense step exp(-i H step) from the eigh of the whole matrix,
+    # applied 39 times
+    w, v = np.linalg.eigh(h.matrix)
+    stepper = v @ (np.exp(-1j * w * step)[:, None] * v.conj().T)
+    assert np.array_equal(batched[0], amps)
     for k in range(1, 40):
-        state = quantum.evolve(state, h, step)
-        assert np.max(np.abs(state.amplitudes - batched[k])) <= 1e-12
-    assert abs(state.tau - 39 * step) < 1e-12
+        amps = stepper @ amps
+        assert np.max(np.abs(amps - batched[k])) <= 1e-12
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
@@ -524,21 +544,19 @@ def test_only_the_live_block_is_diagonalized(six_ion_resonance, cutoff):
     entry, fock, h = _full_generator(six_ion_resonance, cutoff)
     psi, _, _ = quantum.down_conversion_states(fock, entry)
     pump = fock.index_of(psi)
-    quantum._propagate(h, fock.number_state(psi), [0.0, 1.0, 2.0])
+    quantum.propagate(h, fock.number_state(psi), [0.0, 1.0, 2.0])
     assert len(h._blocks[1]) == 8
     _, _, tensors, _ = _six_ion_fock(six_ion_resonance, cutoff)
     assert len(set(_sector_parities(fock, tensors, *h._blocks))) == 8
     ((b, (idx, _w, v)),) = h._diagonalized.items()
     assert pump in idx and v.dtype == np.float64
     # a second run from the same sector reuses the kept eigensystem
-    quantum.evolve(quantum.QuantumState(basis=fock,
-                                        amplitudes=fock.number_state(psi)),
-                   h, 1.0)
+    quantum.propagate(h, fock.number_state(psi), [1.0])
     assert list(h._diagonalized) == [b]
     _, basis, tensors, _ = _six_ion_fock(six_ion_resonance, cutoff)
     h_rwa = quantum.build_rwa_interaction(fock, basis, tensors, 7.09e-4,
                                           resonance=entry)
-    quantum._propagate(h_rwa, fock.number_state(psi), [1.0])
+    quantum.propagate(h_rwa, fock.number_state(psi), [1.0])
     ((_b, (idx, _w, _v)),) = h_rwa._diagonalized.items()
     assert len(idx) == 3
 
@@ -563,7 +581,7 @@ def test_sector_build_restricts_the_whole_basis_triplets(six_ion_resonance,
                                        np.arange(fock.dimension)))
     for occ in _STARTS:
         amps = fock.number_state(occ)
-        states = quantum._sector_states(fock, tensors.parity, amps)
+        states = quantum.sector_states(fock, tensors, amps)
         # the sector: every state with the start's three labels
         start = fock.index_of(occ)
         assert np.array_equal(
@@ -583,8 +601,8 @@ def test_sector_build_restricts_the_whole_basis_triplets(six_ion_resonance,
                                       getattr(ref, name)[inside])
             assert np.array_equal(h._states, states)
         # the sector is the live support of the whole-basis generator
-        idx, _ = quantum._propagate(whole["full"], amps, [1.0])
-        assert np.array_equal(idx, states)
+        run = quantum.propagate(whole["full"], amps, [1.0])
+        assert np.array_equal(run.states, states)
 
 
 def test_sector_sizes(six_ion_resonance):
@@ -592,20 +610,20 @@ def test_sector_sizes(six_ion_resonance):
     for cutoff, size in ((3, 128), (4, 410), (6, 2163)):
         fock = quantum.FockBasis.uniform(quantum.resonance_mode_set(entry),
                                          cutoff)
-        states = quantum._sector_states(
-            fock, tensors.parity, fock.number_state({("z", 5): 1}))
+        states = quantum.sector_states(
+            fock, tensors, fock.number_state({("z", 5): 1}))
         assert states.size == size
     # a superposition lights the union of its sectors
     fock = quantum.FockBasis.uniform(quantum.resonance_mode_set(entry), 3)
     amps = fock.number_state({("z", 5): 1}) + fock.number_state({("x", 5): 1})
-    union = quantum._sector_states(fock, tensors.parity, amps)
+    union = quantum.sector_states(fock, tensors, amps)
     assert union.size == 256
 
 
 def test_parity_forbidden_coupling_makes_the_builder_raise(six_ion_resonance):
     entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, 2)
-    states = quantum._sector_states(fock, tensors.parity,
-                                     fock.number_state({("z", 5): 1}))
+    states = quantum.sector_states(fock, tensors,
+                                   fock.number_state({("z", 5): 1}))
     mode = np.array(tensors.mode)
     # (5, 5, 5): s_5^3 = s_5, a parity-forbidden triple when s_5 = +1
     p = next(i for i in (5, 6) if tensors.parity[i - 1] > 0)
@@ -616,9 +634,8 @@ def test_parity_forbidden_coupling_makes_the_builder_raise(six_ion_resonance):
                                        parity=tensors.parity)
     planted_fock = quantum.FockBasis.uniform(
         (("z", p),) + tuple(m for m in fock.modes if m[0] != "z"), 2)
-    planted_states = quantum._sector_states(
-        planted_fock, tensors.parity,
-        planted_fock.number_state({("z", p): 1}))
+    planted_states = quantum.sector_states(
+        planted_fock, tensors, planted_fock.number_state({("z", p): 1}))
     with pytest.raises(ValueError, match="leaves the given basis states"):
         quantum.build_full_interaction(planted_fock, basis, planted, 7.09e-4,
                                        states=planted_states)
@@ -633,22 +650,17 @@ def test_parity_forbidden_coupling_makes_the_builder_raise(six_ion_resonance):
 def test_sector_operator_refuses_amplitude_outside(six_ion_resonance):
     entry, basis, tensors, fock = _six_ion_fock(six_ion_resonance, 2)
     pump = fock.number_state({("z", 5): 1})
-    states = quantum._sector_states(fock, tensors.parity, pump)
+    states = quantum.sector_states(fock, tensors, pump)
     h_free = quantum.build_free_hamiltonian(fock, basis, states=states)
     h = h_free + quantum.build_full_interaction(fock, basis, tensors, 7.09e-4,
                                                 states=states)
-    other = quantum.QuantumState(basis=fock,
-                                 amplitudes=fock.number_state({("x", 5): 1}))
-    for call in (lambda: quantum._propagate(h, other.amplitudes, [1.0]),
-                 lambda: quantum.evolve(other, h, 1.0),
-                 lambda: h.expectation(other)):
-        with pytest.raises(ValueError, match="outside the basis states"):
-            call()
-    state = quantum.QuantumState(basis=fock, amplitudes=pump)
-    assert abs(h.expectation(state) - np.sqrt(basis.mu[4])) < 1e-12
+    other = fock.number_state({("x", 5): 1})
+    with pytest.raises(ValueError, match="outside the basis states"):
+        quantum.propagate(h, other, [1.0])
+    assert np.array_equal(quantum.propagate(h, pump, [0.0]).states, states)
+    assert abs(pump.conj() @ h.matrix @ pump - np.sqrt(basis.mu[4])) < 1e-12
     # a sum keeps the union of the two state sets; the whole basis wins
-    other_states = quantum._sector_states(fock, tensors.parity,
-                                          other.amplitudes)
+    other_states = quantum.sector_states(fock, tensors, other)
     both = h + quantum.build_free_hamiltonian(fock, basis,
                                               states=other_states)
     assert np.array_equal(both._states, np.union1d(states, other_states))
@@ -721,29 +733,29 @@ def test_exchange_orbits_and_parts(six_ion_resonance):
     # largest or the basis has no swap
     fock3 = quantum.FockBasis.uniform((("z", 1), ("x", 1), ("y", 1)), 4)
     ones = np.ones((fock3.dimension, fock3.dimension))
-    assert quantum.HamiltonianMatrix(ones, fock3)._exchange_orbits(0)
+    assert _from_dense(ones, fock3)._exchange_orbits(0)
     i, j = fock3.index_of({("x", 1): 1}), fock3.index_of({("z", 1): 2})
     tilted = ones.copy()
     tilted[i, j] = tilted[j, i] = 1.0 + 1e-13
-    assert quantum.HamiltonianMatrix(tilted, fock3)._exchange_orbits(0) is None
+    assert _from_dense(tilted, fock3)._exchange_orbits(0) is None
     for other in (quantum.FockBasis.uniform((("z", 1), ("x", 1), ("x", 2)), 4),
                   quantum.FockBasis((("z", 1), ("x", 1), ("y", 1)), (4, 4, 3)),
                   quantum.FockBasis.uniform((("z", 1), ("x", 1), ("y", 1)), 2)):
-        h_other = quantum.HamiltonianMatrix(
-            np.ones((other.dimension, other.dimension)), other)
+        h_other = _from_dense(np.ones((other.dimension, other.dimension)),
+                              other)
         assert h_other._exchange_orbits(0) is None
 
 
 def test_full_run_diagonalizes_one_part_of_72_states(tmp_path, capsys,
                                                      monkeypatch):
     seen = []
-    real = quantum._propagate
+    real = quantum.propagate
 
-    def spy(h, amps, taus):
+    def spy(h, start, taus):
         seen.append(h)
-        return real(h, amps, taus)
+        return real(h, start, taus)
 
-    monkeypatch.setattr(quantum, "_propagate", spy)
+    monkeypatch.setattr(quantum, "propagate", spy)
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("n = 6\nresonance = 6,5,5\ncutoff = 3\nsamples = 5\n"
                    "mode = full\n")
@@ -768,8 +780,9 @@ def _reference_entropy(basis, amps, axes):
 def test_batched_entropies_match_single_state(six_ion_resonance):
     entry, fock, h = _full_generator(six_ion_resonance)
     psi, _, _ = quantum.down_conversion_states(fock, entry)
-    idx, out = quantum._propagate(h, fock.number_state(psi),
-                                  np.linspace(0.0, 900.0, 12))
+    run = quantum.propagate(h, fock.number_state(psi),
+                            np.linspace(0.0, 900.0, 12))
+    idx, out = run.states, run.amplitudes
     rng = np.random.default_rng(9)
     spread = rng.normal(size=(3, fock.dimension)) + 0j
     spread /= np.linalg.norm(spread, axis=1)[:, None]
@@ -782,9 +795,8 @@ def test_batched_entropies_match_single_state(six_ion_resonance):
         ref = [_reference_entropy(fock, a, axes) for a in amps]
         assert np.max(np.abs(got - ref)) <= 1e-14
     x_pair = tuple(m for m in fock.modes if m[0] == "x")
-    state = quantum.QuantumState(basis=fock, amplitudes=amps[5])
-    assert abs(quantum.entanglement_entropy(state, x_pair)
-               - _reference_entropy(fock, amps[5], [1, 2])) <= 1e-14
+    ref = [_reference_entropy(fock, a, [1, 2]) for a in amps[:12]]
+    assert np.max(np.abs(run.entropies(x_pair) - ref)) <= 1e-14
 
 
 def _reference_top_fock(basis, dense):
@@ -840,11 +852,11 @@ def test_top_fock_population_matches_occupation_loop(six_ion_resonance):
     rng = np.random.default_rng(13)
     spread = rng.normal(size=(4, fock.dimension)) + 1j * rng.normal(
         size=(4, fock.dimension))
-    idx, out = quantum._propagate(h, fock.number_state(psi), [0.0, 300.0, 600.0])
-    samples = np.vstack([_scatter(fock, idx, out),
+    run = quantum.propagate(h, fock.number_state(psi), [0.0, 300.0, 600.0])
+    samples = np.vstack([_scatter(fock, run.states, run.amplitudes),
                          spread / np.linalg.norm(spread, axis=1)[:, None]])
     everything = np.arange(fock.dimension)
-    for got, amps in ((quantum._top_fock_population(fock, idx, out), samples[:3]),
+    for got, amps in ((run.top_fock_population(), samples[:3]),
                       (quantum._top_fock_population(fock, everything, samples),
                        samples)):
         top = 0.0
@@ -881,7 +893,7 @@ def test_hamiltonian_rejects_non_hermitian(six_ion_resonance):
     bad = np.zeros((fock.dimension, fock.dimension), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):
-        quantum.HamiltonianMatrix(matrix=bad, basis=fock)
+        _from_dense(bad, fock)
 
 
 # --- dynamics -----------------------------------------------------------
@@ -893,25 +905,25 @@ def test_evolution_conserves_norm_and_energy(six_ion_resonance):
     h_int = quantum.build_full_interaction(fock, basis, tensors, eps)
     h = h0 + h_int
     psi, _, _ = quantum.down_conversion_states(fock, entry)
-    state = quantum.QuantumState(basis=fock,
-                                 amplitudes=fock.number_state(psi))
-    e0 = h.expectation(state)
-    for _ in range(50):
-        state = quantum.evolve(state, h, 7.0)
-    assert abs(state.norm() - 1.0) < 1e-9
-    assert abs(h.expectation(state) - e0) < 1e-8 * abs(e0)
-    assert abs(state.tau - 350.0) < 1e-9
+    amps = fock.number_state(psi)
+    e0 = (amps.conj() @ h.matrix @ amps).real
+    run = quantum.propagate(h, amps, np.arange(51) * 7.0)
+    assert np.max(np.abs(run.norms() - 1.0)) < 1e-9
+    for amps in _scatter(fock, run.states, run.amplitudes):
+        energy = (amps.conj() @ h.matrix @ amps).real
+        assert abs(energy - e0) < 1e-8 * abs(e0)
 
 
 def test_evolve_requires_matching_basis(six_ion_resonance):
-    entry, _, basis, _, fock = six_ion_resonance
+    entry, _, basis, tensors, fock = six_ion_resonance
     other = quantum.FockBasis.uniform((("z", entry.p),), 2)
     h = quantum.build_free_hamiltonian(other, basis)
     psi, _, _ = quantum.down_conversion_states(fock, entry)
-    state = quantum.QuantumState(basis=fock,
-                                 amplitudes=fock.number_state(psi))
-    with pytest.raises(ValueError, match="different bases"):
-        quantum.evolve(state, h, 1.0)
+    # a start over another basis has the wrong number of amplitudes
+    with pytest.raises(ValueError, match="basis dimension is 3"):
+        quantum.propagate(h, fock.number_state(psi), [1.0])
+    with pytest.raises(ValueError, match="basis dimension is 243"):
+        quantum.sector_states(fock, tensors, other.number_state({}))
 
 
 def test_three_state_solution_population_shapes():
@@ -944,34 +956,40 @@ def test_down_conversion_states_validation(catalogs):
 
 # --- entanglement -------------------------------------------------------
 
+def _at_rest(basis, amps):
+    """The one-sample run of amps under the zero operator on basis."""
+    zero = quantum.HamiltonianMatrix(basis, [], [], [])
+    return quantum.propagate(zero, amps, [0.0])
+
+
 def test_entropy_of_product_and_bell_states():
     fb = quantum.FockBasis.uniform((("x", 1), ("y", 1)), 1)
-    product = quantum.QuantumState(
-        basis=fb, amplitudes=fb.number_state({("x", 1): 1}))
-    assert quantum.entanglement_entropy(product, (("x", 1),)) == 0.0
+    product = _at_rest(fb, fb.number_state({("x", 1): 1}))
+    assert product.entropies((("x", 1),)).tolist() == [0.0]
     bell = (fb.number_state({}) + fb.number_state({("x", 1): 1,
                                                    ("y", 1): 1})) / np.sqrt(2)
-    entangled = quantum.QuantumState(basis=fb, amplitudes=bell)
-    s = quantum.entanglement_entropy(entangled, (("x", 1),))
+    entangled = _at_rest(fb, bell)
+    (s,) = entangled.entropies((("x", 1),))
     assert abs(s - np.log(2.0)) < 1e-12
     # entropy is symmetric under swapping the partition
-    s_other = quantum.entanglement_entropy(entangled, (("y", 1),))
+    (s_other,) = entangled.entropies((("y", 1),))
     assert abs(s - s_other) < 1e-12
 
 
 def test_entropy_partition_validation():
     fb = quantum.FockBasis.uniform((("x", 1), ("y", 1)), 1)
-    state = quantum.QuantumState(basis=fb, amplitudes=fb.number_state({}))
+    run = _at_rest(fb, fb.number_state({}))
     with pytest.raises(ValueError, match="proper subset"):
-        quantum.entanglement_entropy(state, (("x", 1), ("y", 1)))
+        run.entropies((("x", 1), ("y", 1)))
     with pytest.raises(ValueError, match="nonempty"):
-        quantum.entanglement_entropy(state, ())
+        run.entropies(())
     with pytest.raises(ValueError, match="twice"):
-        quantum.entanglement_entropy(state, (("x", 1), ("x", 1)))
+        run.entropies((("x", 1), ("x", 1)))
 
 
 def test_state_normalization_enforced():
     fb = quantum.FockBasis.uniform((("z", 1),), 1)
     with pytest.raises(ValueError, match="norm"):
-        quantum.QuantumState(basis=fb,
-                             amplitudes=np.array([0.5, 0.0], dtype=complex))
+        _at_rest(fb, np.array([0.5, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="norm"):
+        _at_rest(fb, np.array([np.nan, 0.0], dtype=complex))
