@@ -305,46 +305,8 @@ def _find_entry(chain, m: int, n: int, p: int):
         f"in the N = {chain.n_ions} catalog")
 
 
-# the keys each config-driven command reads
-_SIMULATE_KEYS = ("n", "species", "mass_u", "omega3", "resonance", "cutoff",
-                  "duration", "samples", "mode", "alpha", "initial")
-_CLASSICAL_KEYS = ("n", "dt", "t_final", "stride", "displacement", "velocity",
-                   "detune", "resonance", "alpha")
-
-
-def _parse_config(path: str, known: tuple[str, ...]) -> dict[str, str]:
-    """The `key = value` lines of a config.
-
-    A key outside `known`, or one given twice, fails.
-    """
-    values: dict[str, str] = {}
-    first_line: dict[str, int] = {}
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path}: {exc}")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in known:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}; "
-                             f"known keys: {', '.join(known)}")
-        if key in first_line:
-            raise ValueError(f"{path}:{lineno}: config key {key!r} repeated "
-                             f"(first at line {first_line[key]})")
-        first_line[key] = lineno
-        values[key] = value.strip()
-    return values
-
-
-def _parse_mode_map(text: str, value_type=float) -> dict:
-    """'z5:0.01,x6:1e-6' -> {("z",5): 0.01, ("x",6): 1e-6}."""
+def _parse_mode_map(text: str, value_type=float) -> tuple[str, dict]:
+    """'z5:0.01,x6:1e-6' -> (the text, {("z",5): 0.01, ("x",6): 1e-6})."""
     out = {}
     for part in text.split(","):
         part = part.strip()
@@ -358,7 +320,100 @@ def _parse_mode_map(text: str, value_type=float) -> dict:
         except ValueError:
             raise ValueError(f"bad amplitude value in {part!r}")
         out[(match.group(1), int(match.group(2)))] = value
-    return out
+    return text, out
+
+
+def _parse_occupations(text: str) -> tuple[str, dict]:
+    """'z5:1' -> (the text, {("z",5): 1}), phonon numbers per mode."""
+    return _parse_mode_map(text, int)
+
+
+# a range rule: (test, what the value must be); NaN fails every test
+_POSITIVE = (lambda value: value > 0, "> 0, got {:g}")
+
+# Each config-driven command's keys, declared once as key: (parse, default,
+# rule) in the order `_parse_config` checks them. A default of ... marks a
+# required key; None leaves the key to the command.
+_CONFIGS = {
+    "simulate": {
+        "n": (int, 6, None),
+        "species": (str, "Ca40", None),
+        "mass_u": (float, None, _POSITIVE),  # None: the species mass
+        "omega3": (float, 2.0e6, _POSITIVE),
+        "resonance": (_parse_resonance, (6, 5, 5), None),
+        "cutoff": (int, 2, None),
+        "duration": (float, 2.0 * math.pi, _POSITIVE),
+        "samples": (int, 201, (lambda value: value >= 2, "at least 2")),
+        "mode": (str, "rwa", None),
+        "alpha": (float, None, None),  # None: the entry's alpha_res
+        "initial": (_parse_occupations, None, None),  # None: one pump phonon
+    },
+    "classical": {
+        "n": (int, ..., None),
+        "dt": (float, 1.0e-3, _POSITIVE),
+        "t_final": (float, 100.0, _POSITIVE),
+        "stride": (int, 10, (lambda value: value >= 1, ">= 1, got {}")),
+        "displacement": (_parse_mode_map, ("", {}), None),
+        "velocity": (_parse_mode_map, ("", {}), None),
+        "detune": (float, 0.0, (lambda value: value >= 0, ">= 0, got {:g}")),
+        "resonance": (_parse_resonance, None, None),
+        "alpha": (float, None, None),  # None: the entry's alpha_res
+    },
+}
+
+
+def _parse_config(path: str, declaration: dict) -> dict:
+    """Each declared key's value, from the `key = value` lines of a config.
+
+    A malformed line, an undeclared key or a repeated one fails, in line
+    order. Then, key by key, an absent key takes its default and a given
+    one is parsed (int and float errors get the key as prefix; the other
+    parses name their value), checked finite and checked by its rule.
+    """
+    texts, first_line = {}, {}
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in declaration:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}; "
+                             f"known keys: {', '.join(declaration)}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} repeated "
+                             f"(first at line {first_line[key]})")
+        first_line[key] = lineno
+        texts[key] = value.strip()
+    values = {}
+    for key, (parse, default, rule) in declaration.items():
+        if key not in texts:
+            if default is ...:
+                raise ValueError(f"config key {key!r} is required")
+            values[key] = default
+            continue
+        try:
+            value = parse(texts[key])
+        except ValueError as exc:
+            if parse not in (int, float):
+                raise
+            raise ValueError(f"config key {key!r}: {exc}")
+        # a NaN is left to the rule, or to the library's checks
+        if isinstance(value, float) and math.isinf(value):
+            raise ValueError(f"config key {key!r} must be finite, "
+                             f"got {texts[key]}")
+        if rule is not None and not rule[0](value):
+            raise ValueError(f"config key {key!r} must be "
+                             + rule[1].format(value))
+        values[key] = value
+    return values
 
 
 # --- subcommands ----------------------------------------------------------
@@ -368,7 +423,6 @@ def cmd_equilibrium(args) -> int:
     headers = ["ion", "u"]
     notes = []
     params = {"n": args.n}
-    rows: list[tuple] = []
     ell = None
     if (args.species, args.mass_u, args.omega3) != (None, None, None):
         ion = _resolve_ion(args.species, args.mass_u)
@@ -380,11 +434,8 @@ def cmd_equilibrium(args) -> int:
         notes.append(f"length_scale_m = {_fmt(ell, args.precision)}")
         params.update(species=ion.name, omega3_hz=args.omega3,
                       length_scale_m=ell)
-    for i, u_i in enumerate(u, start=1):
-        row = [i, float(u_i)]
-        if ell is not None:
-            row.append(float(u_i) * ell)
-        rows.append(tuple(row))
+    rows = [(i, u_i) if ell is None else (i, u_i, u_i * ell)
+            for i, u_i in enumerate(u.tolist(), start=1)]
     art = Artifact(f"equilibrium_n{args.n}", headers, rows, notes)
     return _emit([art], "equilibrium", params, args)
 
@@ -394,12 +445,9 @@ def cmd_modes(args) -> int:
     basis = modes_mod.mode_basis(u, args.alpha)
     headers = ["p", "mu", "gamma", "nu_over_omega3", "Omega_over_omega3"]
     headers += [f"b{i}" for i in range(1, args.n + 1)]
-    rows = []
-    for p in range(args.n):
-        row = [p + 1, float(basis.mu[p]), float(basis.gamma[p]),
-               float(np.sqrt(basis.mu[p])), float(np.sqrt(basis.gamma[p]))]
-        row += [float(b) for b in basis.vectors[:, p]]
-        rows.append(tuple(row))
+    rows = [(p + 1, float(basis.mu[p]), float(basis.gamma[p]),
+             float(np.sqrt(basis.mu[p])), float(np.sqrt(basis.gamma[p])),
+             *map(float, basis.vectors[:, p])) for p in range(args.n)]
     art = Artifact(f"modes_n{args.n}", headers, rows)
     return _emit([art], "modes", {"n": args.n, "alpha": args.alpha}, args)
 
@@ -457,50 +505,17 @@ def cmd_epsilon(args) -> int:
     return _emit([art], "epsilon", params, args)
 
 
-def _config_get(cfg: dict, key: str, default, cast):
-    if key not in cfg:
-        if default is None:
-            raise ValueError(f"config key {key!r} is required")
-        return default
-    try:
-        value = cast(cfg[key])
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r}: {exc}")
-    # a NaN is left to the range check that the caller or the library
-    # applies next, which it fails
-    if value in (math.inf, -math.inf):
-        raise ValueError(f"config key {key!r} must be finite, got {cfg[key]}")
-    return value
-
-
 def cmd_simulate(args) -> int:
-    cfg = _parse_config(args.config, _SIMULATE_KEYS)
-    n_ions = _config_get(cfg, "n", 6, int)
-    species_name = cfg.get("species", "Ca40")
-    mass_u = None   # the species mass
-    if "mass_u" in cfg:
-        mass_u = _config_get(cfg, "mass_u", None, float)
-    omega3_hz = _config_get(cfg, "omega3", 2.0e6, float)
-    res_spec = _parse_resonance(cfg.get("resonance", "6,5,5"))
-    cutoff = _config_get(cfg, "cutoff", 2, int)
-    duration = _config_get(cfg, "duration", float(2.0 * np.pi), float)
-    samples = _config_get(cfg, "samples", 201, int)
-    # NaN fails these comparisons too
-    for key, value in (("omega3", omega3_hz), ("duration", duration),
-                       ("mass_u", mass_u)):
-        if value is not None and not value > 0.0:
-            raise ValueError(f"config key '{key}' must be > 0, got {value:g}")
-    if samples < 2:
-        raise ValueError("config key 'samples' must be at least 2")
-    flavor = args.mode or cfg.get("mode", "rwa")
+    cfg = _parse_config(args.config, _CONFIGS["simulate"])
+    flavor = args.mode or cfg["mode"]
     if flavor not in ("rwa", "full", "both"):
         raise ValueError(f"mode must be rwa, full or both, got {flavor!r}")
 
-    chain = resonances_mod._solve_chain(n_ions)
-    entry = _find_entry(chain, *res_spec)
-    alpha = _config_get(cfg, "alpha", entry.alpha_res, float)
-    ion = _resolve_ion(species_name, mass_u)
-    omega3 = 2.0 * np.pi * omega3_hz
+    chain = resonances_mod._solve_chain(cfg["n"])
+    entry = _find_entry(chain, *cfg["resonance"])
+    alpha = entry.alpha_res if cfg["alpha"] is None else cfg["alpha"]
+    ion = _resolve_ion(cfg["species"], cfg["mass_u"])
+    omega3 = 2.0 * np.pi * cfg["omega3"]
     eps = quantum_mod.nonlinearity_epsilon(ion, omega3)
 
     # the mode tensor depends on the eigenvectors only, which do not
@@ -508,12 +523,13 @@ def cmd_simulate(args) -> int:
     basis = chain.basis_at(alpha)
     tensors = chain.tensors
     fock = quantum_mod.FockBasis.uniform(
-        quantum_mod.resonance_mode_set(entry), cutoff)
+        quantum_mod.resonance_mode_set(entry), cfg["cutoff"])
     rate_tau = abs(eps * quantum_mod.rwa_coefficient(entry, basis.mu))
 
     watched = quantum_mod.down_conversion_states(fock, entry)
-    initial_text = cfg.get("initial", f"z{entry.p}:1")
-    start = fock.number_state(_parse_mode_map(initial_text, value_type=int))
+    initial_text, initial = (cfg["initial"]
+                             or _parse_occupations(f"z{entry.p}:1"))
+    start = fock.number_state(initial)
 
     # no generator joins two symmetry sectors: each is built on the
     # sectors the initial state reaches only
@@ -531,7 +547,8 @@ def cmd_simulate(args) -> int:
                                                  states=states))
 
     x_modes = [mode for mode in fock.modes if mode[0] == "x"]
-    t_gamma = np.linspace(0.0, duration, samples)
+    samples = cfg["samples"]
+    t_gamma = np.linspace(0.0, cfg["duration"], samples)
     d_tau = (t_gamma[1] - t_gamma[0]) / rate_tau
     headers = ["t_gamma", "pop_axial", "pop_y_pair", "pop_x_pair",
                "norm", "entropy_x"]
@@ -547,11 +564,12 @@ def cmd_simulate(args) -> int:
                                 run.norms(), run.entropies(x_modes)])
         artifacts.append(Artifact(f"simulate_{label}", headers, rows))
     params = {
-        "config": os.path.abspath(args.config), "n": n_ions,
-        "species": ion.name, "omega3_hz": omega3_hz, "alpha": alpha,
-        "resonance": list(res_spec), "cutoff": cutoff, "epsilon": eps,
-        "rate_per_omega3_t": rate_tau, "initial": initial_text,
-        "duration_gamma_t": duration, "samples": samples, "mode": flavor,
+        "config": os.path.abspath(args.config), "n": cfg["n"],
+        "species": ion.name, "omega3_hz": cfg["omega3"], "alpha": alpha,
+        "resonance": list(cfg["resonance"]), "cutoff": cfg["cutoff"],
+        "epsilon": eps, "rate_per_omega3_t": rate_tau,
+        "initial": initial_text, "duration_gamma_t": cfg["duration"],
+        "samples": samples, "mode": flavor,
     }
     return _emit(artifacts, "simulate", params, args,
                  diagnostics={"top_fock_population": top_fock,
@@ -574,40 +592,22 @@ def cmd_classical(args) -> int:
     the main run is projected, and the energy table goes to `Artifact`
     as one float array, which it formats and writes in row blocks.
     """
-    cfg = _parse_config(args.config, _CLASSICAL_KEYS)
-    n_ions = _config_get(cfg, "n", None, int)
-    dt = _config_get(cfg, "dt", 1.0e-3, float)
-    t_final = _config_get(cfg, "t_final", 100.0, float)
-    stride = _config_get(cfg, "stride", 10, int)
-    displacements = _parse_mode_map(cfg.get("displacement", ""))
-    velocities = _parse_mode_map(cfg.get("velocity", ""))
-    detune = _config_get(cfg, "detune", 0.0, float)
-    # NaN fails these comparisons too
-    for key, value in (("dt", dt), ("t_final", t_final)):
-        if not value > 0.0:
-            raise ValueError(f"config key '{key}' must be > 0, got {value:g}")
-    if not detune >= 0.0:
-        raise ValueError(f"config key 'detune' must be >= 0, got {detune:g}")
-    if stride < 1:
-        raise ValueError(f"config key 'stride' must be >= 1, got {stride}")
+    cfg = _parse_config(args.config, _CONFIGS["classical"])
+    n_ions, dt, t_final, stride, detune = (
+        cfg[key] for key in ("n", "dt", "t_final", "stride", "detune"))
     samples = classical_mod._time_grid(dt, t_final, stride)[1]
     if samples < classical_mod._MIN_SPECTRUM_SAMPLES:
         raise ValueError(
             f"config keys 't_final', 'dt' and 'stride' give {samples} "
             f"samples; the spectra need at least "
             f"{classical_mod._MIN_SPECTRUM_SAMPLES}")
-    res_text = cfg.get("resonance")
     chain = entry = None
-    if res_text is not None:
-        res_spec = _parse_resonance(res_text)
+    if cfg["resonance"] is not None:
         chain = resonances_mod._solve_chain(n_ions)
-        entry = _find_entry(chain, *res_spec)
-    if "alpha" in cfg:
-        alpha = _config_get(cfg, "alpha", None, float)
-    elif entry is not None:
-        alpha = entry.alpha_res
-    else:
+        entry = _find_entry(chain, *cfg["resonance"])
+    if cfg["alpha"] is None and entry is None:
         raise ValueError("config needs either 'alpha' or 'resonance'")
+    alpha = entry.alpha_res if cfg["alpha"] is None else cfg["alpha"]
     transfer = []
     if detune > 0.0:
         if entry is None:
@@ -632,7 +632,8 @@ def cmd_classical(args) -> int:
         u = chain.u
         bases = [chain.basis_at(a) for a in alphas]
     trajs = classical_mod.integrate_batch(
-        u, bases, displacements=displacements, velocities=velocities,
+        u, bases, displacements=cfg["displacement"][1],
+        velocities=cfg["velocity"][1],
         dt=dt, t_final=t_final, stride=stride)
     # only the main run is tabulated: each other member gives its pair
     # gain and is freed before the main run is projected
@@ -650,10 +651,9 @@ def cmd_classical(args) -> int:
         if label not in gains:
             gains[label] = _pair_gain(proj, pair)
 
-    energy_headers = ["t"]
-    for direction in ("z", "x", "y"):
-        energy_headers += [f"e_{direction}{p}" for p in range(1, n_ions + 1)]
-    energy_headers += ["total", "energy_drift"]
+    energy_headers = ["t", *(f"e_{direction}{p}" for direction in "zxy"
+                             for p in range(1, n_ions + 1)),
+                      "total", "energy_drift"]
     energy = traj.total_energy
     drift_scale = max(abs(energy[0]), 1e-300)
     # an array: the Artifact makes Python floats of one row block at a time
@@ -683,18 +683,17 @@ def cmd_classical(args) -> int:
     params = {
         "config": os.path.abspath(args.config), "n": n_ions, "alpha": alpha,
         "dt": dt, "t_final": t_final, "stride": stride,
-        "displacement": cfg.get("displacement", ""),
-        "velocity": cfg.get("velocity", ""),
+        "displacement": cfg["displacement"][0],
+        "velocity": cfg["velocity"][0],
         "windowed_energy_drift": traj.energy_drift(),
     }
 
     if transfer:
         resonant = gains["resonant"]
-        transfer_rows = []
-        for label, run_alpha in transfer:
-            gain = gains[label]
-            ratio = resonant / gain if gain > 0.0 else float("inf")
-            transfer_rows.append((label, run_alpha, gain, ratio))
+        transfer_rows = [
+            (label, run_alpha, gains[label],
+             resonant / gains[label] if gains[label] > 0.0 else float("inf"))
+            for label, run_alpha in transfer]
         artifacts.append(Artifact(
             "classical_transfer",
             ["label", "alpha", "pair_energy_gain", "resonant_over_this"],

@@ -981,8 +981,10 @@ def _schmidt_entropies(basis: FockBasis, idx: np.ndarray, amps: np.ndarray,
     proper subset. Each support state splits into a partition index a and
     a rest index b; only the a and b values that occur become rows and
     columns, since the all-zero rows and columns the rest of the basis
-    would add leave the nonzero singular values unchanged. One batched
-    SVD gives the K Schmidt spectra.
+    would add leave the nonzero singular values unchanged. The Schmidt
+    weights, the squared singular values, are the eigenvalues of the
+    smaller Gram product M M^H or M^H M, one batched `eigvalsh` for all
+    K; the mask below drops the rounding-negative ones.
     """
     axes = list(axes)
     rest = [k for k in range(len(basis.modes)) if k not in axes]
@@ -996,8 +998,11 @@ def _schmidt_entropies(basis: FockBasis, idx: np.ndarray, amps: np.ndarray,
     amps = np.reshape(amps, (-1, idx.size))
     matrices = np.zeros((len(amps), a_values.size, b_values.size), dtype=amps.dtype)
     matrices[:, a, b] = amps
-    schmidt = np.linalg.svd(matrices, compute_uv=False)
-    weights = schmidt**2
+    adjoint = matrices.conj().swapaxes(1, 2)
+    if a_values.size <= b_values.size:
+        weights = np.linalg.eigvalsh(matrices @ adjoint)
+    else:
+        weights = np.linalg.eigvalsh(adjoint @ matrices)
     kept = weights > 1e-300
     terms = np.where(kept, weights * np.log(np.where(kept, weights, 1.0)), 0.0)
     # + 0.0 turns the -0.0 of a pure product state into a plain zero

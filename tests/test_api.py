@@ -118,3 +118,15 @@ def test_readme_library_example_runs():
     # the pump starts full and the run stays normalized
     assert namespace["pops"][0].tolist() == [1.0, 0.0, 0.0]
     assert namespace["run"].norms().shape == (201,)
+
+
+@pytest.mark.parametrize("command", ["simulate", "classical"])
+def test_readme_config_table_lists_the_declared_keys(command):
+    from ionchain import cli
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text().split(f"\n`{command}` config keys:\n", 1)[1]
+    rows = table.strip().split("\n\n", 1)[0].splitlines()
+    assert rows[0] == "| key | default | rule |"
+    keys = [row.split("|")[1].strip().strip("`") for row in rows[2:]]
+    assert keys == list(cli._CONFIGS[command])

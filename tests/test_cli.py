@@ -1214,6 +1214,95 @@ def test_changing_a_built_parser_leaves_main_alone(capsys):
         assert run_cli(capsys, "equilibrium", "--n", "2")[1] == PLAIN_TABLE
 
 
+# --- config declarations -----------------------------------------------
+
+# Per parse a config key can declare: a malformed text and the message it
+# gives, and the message for a text of inf or -inf. A str key takes any
+# text, so it has neither.
+_MALFORMED = {
+    int: ("x", "config key {key!r}: invalid literal for int() with base 10: "
+               "'x'"),
+    float: ("x", "config key {key!r}: could not convert string to float: "
+                 "'x'"),
+    cli._parse_resonance: ("1,2", "resonance must be 'm,n,p', got '1,2'"),
+    cli._parse_mode_map: ("zz:1", "bad mode amplitude 'zz:1', expected "
+                                  "like z5:0.01"),
+    cli._parse_occupations: ("z5:0.5", "bad amplitude value in 'z5:0.5'"),
+}
+_INFINITE = {
+    int: "config key {key!r}: invalid literal for int() with base 10: "
+         "'{text}'",
+    float: "config key {key!r} must be finite, got {text}",
+    cli._parse_resonance: "resonance must be 'm,n,p', got '{text}'",
+    cli._parse_mode_map: "bad mode amplitude '{text}', expected like z5:0.01",
+    cli._parse_occupations: "bad mode amplitude '{text}', expected like "
+                            "z5:0.01",
+}
+# per range rule, by what it says the value must be: out-of-range texts
+# and the message each gives
+_OUT_OF_RANGE = {
+    "> 0, got {:g}": [("0", "config key {key!r} must be > 0, got 0"),
+                      ("-1", "config key {key!r} must be > 0, got -1"),
+                      ("nan", "config key {key!r} must be > 0, got nan")],
+    ">= 0, got {:g}": [("-0.2", "config key {key!r} must be >= 0, got -0.2"),
+                       ("nan", "config key {key!r} must be >= 0, got nan")],
+    ">= 1, got {}": [("0", "config key {key!r} must be >= 1, got 0"),
+                     ("-3", "config key {key!r} must be >= 1, got -3")],
+    "at least 2": [("1", "config key {key!r} must be at least 2"),
+                   ("-3", "config key {key!r} must be at least 2")],
+}
+_CONFIG_BASES = {"simulate": SIM_CONFIG,
+                 "classical": "n = 2\nalpha = 0.5\ndisplacement = z2:1e-3\n"}
+
+
+def _declared_key_faults():
+    """(command, config, message) for each key each command declares: a
+    malformed value, inf and -inf, and where the key has a range rule,
+    values outside it."""
+    cases = []
+    for command, declaration in cli._CONFIGS.items():
+        for key, (parse, _, rule) in declaration.items():
+            if parse is str:
+                continue
+            text, message = _MALFORMED[parse]
+            faults = [(text, message)] + [(text, _INFINITE[parse])
+                                          for text in ("inf", "-inf")]
+            if rule is not None:
+                faults += _OUT_OF_RANGE[rule[1]]
+            for text, message in faults:
+                cases.append(pytest.param(
+                    command, _set_keys(_CONFIG_BASES[command],
+                                       f"{key} = {text}"),
+                    message.format(key=key, text=text),
+                    id=f"{command}-{key}={text}"))
+    return cases
+
+
+@pytest.mark.parametrize("command, config, message", _declared_key_faults())
+def test_declared_key_faults_fail_before_any_chain(tmp_path, capsys,
+                                                   monkeypatch, command,
+                                                   config, message):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain was solved before the config was "
+                             "checked")
+
+    monkeypatch.setattr(resonances, "_solve_chain", no_chain)
+    monkeypatch.setattr(resonances, "_positions", no_chain)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code, out, err = run_cli(capsys, command, str(cfg))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_every_declared_parse_but_str_has_faults():
+    rows = [row for declaration in cli._CONFIGS.values()
+            for row in declaration.values()]
+    assert {parse for parse, _, _ in rows} - {str} == set(_MALFORMED)
+    assert set(_MALFORMED) == set(_INFINITE)
+    rules = {rule[1] for _, _, rule in rows if rule is not None}
+    assert rules == set(_OUT_OF_RANGE)
+
+
 # --- parsing through the dispatch table ----------------------------------
 
 def _subcommands(parser):

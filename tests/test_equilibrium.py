@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +11,7 @@ from hypothesis import strategies as st
 from ionchain import equilibrium
 from ionchain.constants import ATOMIC_MASS
 from ionchain.errors import ConvergenceError
+from ionchain.modes import axial_matrix
 
 
 def test_two_ions_closed_form():
@@ -70,6 +76,49 @@ def test_iteration_limit_raises(monkeypatch):
                        match="not converged after 1 iterations") as err:
         equilibrium.solve_equilibrium(5)
     assert err.value.residual_norm > equilibrium.RESIDUAL_TOL
+
+
+def test_stall_at_the_rounding_floor_returns(monkeypatch):
+    # a positive tolerance no float residual reaches: Newton stalls at the
+    # rounding floor, and the floor rule returns that iterate
+    default = equilibrium.solve_equilibrium(5)
+    monkeypatch.setattr(equilibrium, "RESIDUAL_TOL", 1e-300)
+    u = equilibrium.solve_equilibrium(5)
+    floor = np.finfo(float).eps * np.max(np.abs(u) * np.diag(axial_matrix(u)))
+    residual = np.max(np.abs(equilibrium.equilibrium_residual(u)))
+    assert residual <= equilibrium.FLOOR_FACTOR * floor
+    assert np.max(np.abs(u - default)) < 1e-12
+
+
+_LONG_CHAINS = """\
+import numpy as np
+from ionchain import equilibrium
+for n in (150, 200):
+    u = equilibrium.solve_equilibrium(n)
+    assert np.all(np.diff(u) > 0.0) and np.array_equal(u, -u[::-1])
+    print(n, np.max(np.abs(equilibrium.equilibrium_residual(u))))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_long_chains_solve_at_any_thread_count(threads):
+    """N = 150 and 200 reach the residual's rounding floor before
+    RESIDUAL_TOL, which of them stalls there depending on the BLAS
+    thread count; both solve with one thread or two, from the library
+    and from the command line."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-c", _LONG_CHAINS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for line in proc.stdout.splitlines():
+        assert float(line.split()[1]) < 1e-11
+    proc = subprocess.run([sys.executable, "-m", "ionchain", "equilibrium",
+                           "--n", "150", "--format", "csv"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1].startswith("150,")
 
 
 def test_species_registry():

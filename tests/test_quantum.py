@@ -846,6 +846,40 @@ def test_support_kernels_match_dense_reference(cutoff2_generator, data):
                          - np.linalg.norm(dense, axis=1))) <= 1e-15
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gram_weights_match_the_svd_at_any_rank(cutoff2_generator, data):
+    """Entropies from the Gram product's eigenvalues agree with the SVD
+    formula for Schmidt matrices of every rank, a number state (entropy
+    exactly 0) and product states (rank 1) included."""
+    fock, _ = cutoff2_generator
+    n_modes = len(fock.modes)
+    axes = data.draw(st.lists(st.integers(0, n_modes - 1), min_size=1,
+                              max_size=n_modes - 1, unique=True))
+    rest = [k for k in range(n_modes) if k not in axes]
+    side_shape = [fock.shape[k] for k in axes + rest]
+    dim_a = int(np.prod(side_shape[:len(axes)]))
+    dim_b = fock.dimension // dim_a
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rank = data.draw(st.integers(0, min(dim_a, dim_b)))
+    if rank == 0:
+        psi = np.zeros(fock.dimension, dtype=complex)
+        psi[data.draw(st.integers(0, fock.dimension - 1))] = 1.0
+    else:
+        left = rng.normal(size=(dim_a, rank)) + 1j * rng.normal(size=(dim_a, rank))
+        right = rng.normal(size=(rank, dim_b)) + 1j * rng.normal(size=(rank, dim_b))
+        # the Schmidt matrix back in the basis's own mode order
+        moved = (left @ right).reshape(side_shape)
+        psi = np.transpose(moved, np.argsort(axes + rest)).ravel()
+        psi /= np.linalg.norm(psi)
+
+    (got,) = quantum._schmidt_entropies(fock, np.arange(fock.dimension),
+                                        psi, axes)
+    assert abs(got - _reference_entropy(fock, psi, axes)) <= 1e-12
+    if rank == 0:
+        assert got == 0.0
+
+
 def test_top_fock_population_matches_occupation_loop(six_ion_resonance):
     entry, fock, h = _full_generator(six_ion_resonance, cutoff=2)
     psi, _, _ = quantum.down_conversion_states(fock, entry)
