@@ -17,18 +17,29 @@ The loop holds the state ion-major, positions and velocities of shape
 an (n, 3B) view.  One force kernel (`_force_kernel`) serves the loop and
 `accelerations`, which moves the ion axis of its input first.  The
 kernel and the loop allocate every work array once per call and then
-write through `out=`, so a step allocates nothing; each step takes one
+write through `out`, so a step allocates nothing; each step takes one
 force evaluation and one product 0.5 * dt * acc, shared by both
-half-kicks.  Every member stays bit for bit the run of its own, and the
-kernel keeps the operations that rounding depends on:
+half-kicks.  At a few ions a step is a dozen NumPy calls on arrays of
+tens of elements, so its cost is what each call costs to dispatch, and
+the loop calls the C functions with as little around them as it can:
+every ufunc gets its `out` positionally, r^2 calls the C einsum that
+`np.einsum` itself returns through (skipping its Python layer, not its
+arithmetic), and dt and 0.5 * dt are arrays of the state's shape, which
+pass faster than Python floats and round each product the same.  Every
+member stays bit for bit the run of its own, and the kernel keeps the
+operations that rounding depends on:
 
 - r^2 stays an `einsum`.  On a contiguous last axis it sums the three
   squares in a pairing that follows the SIMD width of the build, and a
   hand-written sum (or `vecdot`, or a matmul) rounds differently.
 - r^-3 is one `power` over the contiguous (pairs, B) array, not over a
-  broadcast view, which can take another pow loop.
+  broadcast view, which can take another pow loop; its -1.5 stays a
+  scalar for the same reason.
 - The scatter of pair forces back onto the ions runs member by member
   (see `_force_kernel`), since BLAS orders that sum by the product shape.
+
+Samples are buffered ion-major and copied out to each member's own
+arrays a block at a time (see `integrate_batch`).
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.multiarray import c_einsum as _c_einsum
 
 from .errors import UnstableTrajectoryError
 from .modes import ModeBasis
@@ -64,6 +76,9 @@ _MIN_SPECTRUM_SAMPLES = 16
 # Samples per block of the total-energy pass of `integrate_batch`: the pair
 # temporaries of `_potential_offset` then span one block, not the run.
 _ENERGY_BLOCK = 512
+
+# Samples per block of the sample buffer of `integrate_batch`.
+_SAMPLE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -183,19 +198,19 @@ def _force_kernel(pos: np.ndarray, out: np.ndarray, stiff: np.ndarray):
     # spread over every ion, so the trap product needs no broadcasting
     stiff = np.broadcast_to(stiff, pos.shape).copy()
     trap = np.empty_like(stiff)
-    matmul, einsum, power, multiply, subtract = (
-        np.matmul, np.einsum, np.power, np.multiply, np.subtract)
+    matmul, power, multiply, subtract = (
+        np.matmul, np.power, np.multiply, np.subtract)
 
     def force() -> None:
-        matmul(diff, pos_2d, out=d)
-        einsum("...k,...k->...", d3, d3, out=r2)
+        matmul(diff, pos_2d, d)
+        _c_einsum("...k,...k->...", d3, d3, out=r2)
         # on the contiguous (pairs, *lead) array: a broadcast operand
         # can take another pow loop, with other last bits
-        power(r2, -1.5, out=r2)
-        multiply(d3, r2_col, out=f3)
-        matmul(scatter, f_members, out=out_members)
-        multiply(pos, stiff, out=trap)
-        subtract(out, trap, out=out)
+        power(r2, -1.5, r2)
+        multiply(d3, r2_col, f3)
+        matmul(scatter, f_members, out_members)
+        multiply(pos, stiff, trap)
+        subtract(out, trap, out)
 
     return force
 
@@ -321,6 +336,15 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
     of its own would, and a member that runs away stops the whole batch
     with an error naming its alpha.
 
+    The loop runs sample by sample, `stride` steps each; the steps after
+    the last sample are not taken, since nothing reads them.  Each
+    sample is checked against `POSITION_BOUND` (a NaN fails too) before
+    it is stored, and is stored with one assignment of positions and one
+    of velocities into a buffer of `_SAMPLE_BLOCK` ion-major samples,
+    which is copied out to the members' own arrays a block at a time.
+    The members keep separate arrays, so a caller who keeps one does not
+    keep the others alive.
+
     Each member's total energy is computed over blocks of
     `_ENERGY_BLOCK` samples.  The potential offset builds several
     (samples, pairs, 3) temporaries, which over the whole run would
@@ -357,47 +381,47 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
     kick = np.empty_like(pos)
     force = _force_kernel(pos, kick, stiff)
 
-    # separate arrays per member, so that a caller who keeps one
-    # trajectory does not keep the others alive
     traj_pos = [np.empty((samples, n, 3)) for _ in bases]
     traj_vel = [np.empty((samples, n, 3)) for _ in bases]
+    buffered = min(_SAMPLE_BLOCK, samples)
+    buf_pos = np.empty((buffered,) + pos.shape)
+    buf_vel = np.empty_like(buf_pos)
 
-    def record(step: int, sample: int) -> None:
-        # written so that NaN fails the test as well
-        if not (pos.max() <= POSITION_BOUND
-                and -pos.min() <= POSITION_BOUND):
-            bad = ~(np.max(np.abs(pos), axis=(0, 2)) <= POSITION_BOUND)
-            alphas = ", ".join(f"{bases[b].alpha:g}"
-                               for b in np.flatnonzero(bad))
-            raise UnstableTrajectoryError(
-                f"ion coordinate exceeded {POSITION_BOUND:g} at "
-                f"t = {step * dt:g} (alpha = {alphas})")
-        for b in range(len(bases)):
-            traj_pos[b][sample] = pos[:, b]
-            traj_vel[b][sample] = vel[:, b]
-
-    record(0, 0)
     # the kernel writes each acceleration into kick, which is then scaled
     # in place to 0.5 * dt * acc, rounded as that expression rounds it;
     # the one product serves both half-kicks around a force evaluation
-    half = 0.5 * dt
+    step_dt = np.full_like(pos, dt)
+    half = np.full_like(pos, 0.5 * dt)
     dx = np.empty_like(pos)
     force()
-    np.multiply(kick, half, out=kick)
-    sample, countdown = 0, stride
-    add, multiply = np.add, np.multiply
-    for step in range(1, n_steps + 1):
-        add(vel, kick, out=vel)
-        multiply(vel, dt, out=dx)
-        add(pos, dx, out=pos)
-        force()
-        multiply(kick, half, out=kick)
-        add(vel, kick, out=vel)
-        countdown -= 1
-        if not countdown:
-            sample += 1
-            countdown = stride
-            record(step, sample)
+    np.multiply(kick, half, kick)
+    add, multiply, steps = np.add, np.multiply, range(stride)
+    for start in range(0, samples, buffered):
+        filled = min(buffered, samples - start)
+        for k in range(filled):
+            # sample 0 is the initial state
+            if start + k:
+                for _ in steps:
+                    add(vel, kick, vel)
+                    multiply(vel, step_dt, dx)
+                    add(pos, dx, pos)
+                    force()
+                    multiply(kick, half, kick)
+                    add(vel, kick, vel)
+            # written so that NaN fails the test as well
+            if not (pos.max() <= POSITION_BOUND
+                    and -pos.min() <= POSITION_BOUND):
+                bad = ~(np.max(np.abs(pos), axis=(0, 2)) <= POSITION_BOUND)
+                alphas = ", ".join(f"{bases[b].alpha:g}"
+                                   for b in np.flatnonzero(bad))
+                raise UnstableTrajectoryError(
+                    f"ion coordinate exceeded {POSITION_BOUND:g} at "
+                    f"t = {(start + k) * stride * dt:g} (alpha = {alphas})")
+            buf_pos[k] = pos
+            buf_vel[k] = vel
+        for b in range(len(bases)):
+            traj_pos[b][start:start + filled] = buf_pos[:filled, :, b]
+            traj_vel[b][start:start + filled] = buf_vel[:filled, :, b]
     times = np.arange(0, n_steps + 1, stride) * dt
     reference = _reference_pairs(eq_pos)
     out = []

@@ -510,11 +510,11 @@ def cmd_simulate(args) -> int:
     flavor = args.mode or cfg["mode"]
     if flavor not in ("rwa", "full", "both"):
         raise ValueError(f"mode must be rwa, full or both, got {flavor!r}")
+    ion = _resolve_ion(cfg["species"], cfg["mass_u"])
 
     chain = resonances_mod._solve_chain(cfg["n"])
     entry = _find_entry(chain, *cfg["resonance"])
     alpha = entry.alpha_res if cfg["alpha"] is None else cfg["alpha"]
-    ion = _resolve_ion(cfg["species"], cfg["mass_u"])
     omega3 = 2.0 * np.pi * cfg["omega3"]
     eps = quantum_mod.nonlinearity_epsilon(ion, omega3)
 

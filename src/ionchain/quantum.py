@@ -96,6 +96,9 @@ DIRECTIONS = ("x", "y", "z")
 # 33-state sector at cutoff 2 propagates in 0.77 ms whole, 0.79 ms split).
 _SPLIT_MIN_STATES = 64
 
+# Samples per block of the Schmidt Gram products in `_schmidt_entropies`.
+_SCHMIDT_BLOCK = 64
+
 # a pair's weight in its orbit vector, and the weight of an entry between
 # two orbit vectors by how many of the two orbits are pairs: 1, 1/sqrt(2)
 # or 1/2, each the correctly rounded value
@@ -983,8 +986,11 @@ def _schmidt_entropies(basis: FockBasis, idx: np.ndarray, amps: np.ndarray,
     columns, since the all-zero rows and columns the rest of the basis
     would add leave the nonzero singular values unchanged. The Schmidt
     weights, the squared singular values, are the eigenvalues of the
-    smaller Gram product M M^H or M^H M, one batched `eigvalsh` for all
-    K; the mask below drops the rounding-negative ones.
+    smaller Gram product M M^H or M^H M, one batched `eigvalsh` per block
+    of `_SCHMIDT_BLOCK` samples, so the matrices and their adjoint copy
+    span one block, not the run; each product and eigensolve is per
+    sample, so the blocks change no bit. The mask below drops the
+    rounding-negative weights.
     """
     axes = list(axes)
     rest = [k for k in range(len(basis.modes)) if k not in axes]
@@ -996,13 +1002,18 @@ def _schmidt_entropies(basis: FockBasis, idx: np.ndarray, amps: np.ndarray,
         sides.append(np.unique(flat, return_inverse=True))
     (a_values, a), (b_values, b) = sides
     amps = np.reshape(amps, (-1, idx.size))
-    matrices = np.zeros((len(amps), a_values.size, b_values.size), dtype=amps.dtype)
-    matrices[:, a, b] = amps
-    adjoint = matrices.conj().swapaxes(1, 2)
-    if a_values.size <= b_values.size:
-        weights = np.linalg.eigvalsh(matrices @ adjoint)
-    else:
-        weights = np.linalg.eigvalsh(adjoint @ matrices)
+    weights = np.empty((len(amps), min(a_values.size, b_values.size)))
+    for start in range(0, len(amps), _SCHMIDT_BLOCK):
+        part = amps[start:start + _SCHMIDT_BLOCK]
+        matrices = np.zeros((len(part), a_values.size, b_values.size),
+                            dtype=amps.dtype)
+        matrices[:, a, b] = part
+        adjoint = matrices.conj().swapaxes(1, 2)
+        rows = slice(start, start + len(part))
+        if a_values.size <= b_values.size:
+            weights[rows] = np.linalg.eigvalsh(matrices @ adjoint)
+        else:
+            weights[rows] = np.linalg.eigvalsh(adjoint @ matrices)
     kept = weights > 1e-300
     terms = np.where(kept, weights * np.log(np.where(kept, weights, 1.0)), 0.0)
     # + 0.0 turns the -0.0 of a pure product state into a plain zero

@@ -189,6 +189,19 @@ def test_matmul_pair_differences_match_indexed_force(pos, alphas):
         assert np.array_equal(acc, _reference_force(member, alpha))
 
 
+def test_kernel_einsum_is_the_one_np_einsum_runs():
+    # the kernel skips np.einsum's Python layer; it must still reach the
+    # C einsum that np.einsum returns through, with the same bits
+    from numpy._core import einsumfunc
+    assert classical._c_einsum is einsumfunc.c_einsum
+    rng = np.random.default_rng(3)
+    for batch in (1, 3, 64):
+        d = rng.standard_normal((15, batch, 3))
+        r2 = np.empty((15, batch))
+        classical._c_einsum("...k,...k->...", d, d, out=r2)
+        assert np.array_equal(r2, np.einsum("...k,...k->...", d, d))
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 6), batch=st.integers(1, 4),
        fractions=st.lists(st.floats(0.2, 0.95), min_size=4, max_size=4),
@@ -233,6 +246,27 @@ def test_energy_blocks_change_no_bit(chains, monkeypatch):
             assert np.array_equal(got.positions, whole.positions)
             assert np.array_equal(got.velocities, whole.velocities)
             assert np.array_equal(got.total_energy, whole.total_energy)
+
+
+@pytest.mark.parametrize("t_final, stride", [(0.49, 1), (0.49, 3),
+                                             (0.48, 3)])
+def test_sample_blocks_change_no_bit(chains, monkeypatch, t_final, stride):
+    # 50 samples at stride 1, 17 at stride 3 from 49 steps (one step past
+    # the last sample) and from 48 (none): blocks of 7 end in blocks of
+    # one and three samples
+    u = chains[5]
+    bases = [modes.mode_basis(u, a) for a in (0.05, 0.04, 0.06)]
+    run = dict(displacements={("z", 5): 0.02, ("x", 4): 0.01, ("y", 5): -0.01},
+               velocities={("x", 1): 0.01}, dt=1e-2, t_final=t_final,
+               stride=stride)
+    runs = {}
+    for block in (1, 7, 50):
+        monkeypatch.setattr(classical, "_SAMPLE_BLOCK", block)
+        runs[block] = classical.integrate_batch(u, bases, **run)
+    for block in (1, 7):
+        for got, whole in zip(runs[block], runs[50]):
+            assert np.array_equal(got.positions, whole.positions)
+            assert np.array_equal(got.velocities, whole.velocities)
 
 
 def test_one_sample_offset_equals_its_batch_row(chains):
@@ -331,7 +365,10 @@ def test_single_ion_kick_frequency(chains):
 
 def test_runaway_ion_detected(two_ion_setup):
     u, basis = two_ion_setup
-    with pytest.raises(UnstableTrajectoryError, match="exceeded"):
+    # the first sample past the bound is step 290 of the stride-10 grid
+    with pytest.raises(UnstableTrajectoryError,
+                       match=r"^ion coordinate exceeded 1000 at t = 0\.29 "
+                             r"\(alpha = 0\.5\)$"):
         classical.integrate(u, basis, velocities={("z", 1): 5000.0},
                             dt=1e-3, t_final=2.0, stride=10)
 
@@ -343,7 +380,8 @@ def test_runaway_member_is_named(two_ion_setup):
     u, _ = two_ion_setup
     bases = [modes.mode_basis(u, alpha) for alpha in (0.01, 0.5)]
     with pytest.raises(UnstableTrajectoryError,
-                       match=r"exceeded .*\(alpha = 0\.5\)$") as exc:
+                       match=r"^ion coordinate exceeded 1000 at t = 0\.3 "
+                             r"\(alpha = 0\.5\)$") as exc:
         classical.integrate_batch(u, bases, velocities={("x", 1): 5000.0},
                                   dt=1e-3, t_final=2.0, stride=10)
     assert "0.01" not in str(exc.value)

@@ -1278,20 +1278,40 @@ def _declared_key_faults():
     return cases
 
 
-@pytest.mark.parametrize("command, config, message", _declared_key_faults())
-def test_declared_key_faults_fail_before_any_chain(tmp_path, capsys,
-                                                   monkeypatch, command,
-                                                   config, message):
+@pytest.fixture
+def no_chain(monkeypatch):
+    """Fail any attempt to solve a chain."""
     def no_chain(*args, **kwargs):
         raise AssertionError("a chain was solved before the config was "
                              "checked")
 
     monkeypatch.setattr(resonances, "_solve_chain", no_chain)
     monkeypatch.setattr(resonances, "_positions", no_chain)
+
+
+@pytest.mark.parametrize("command, config, message", _declared_key_faults())
+def test_declared_key_faults_fail_before_any_chain(tmp_path, capsys, no_chain,
+                                                   command, config, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     code, out, err = run_cli(capsys, command, str(cfg))
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("species = Xx", "unknown species 'Xx'; known: "),
+    ("species =", "--species or --mass-u is required"),
+    # a resonance the catalog lacks, and a chain size outside 2..10
+    ("species = Xx\nresonance = 1,2,3", "unknown species 'Xx'; known: "),
+    ("species = Xx\nn = 1", "unknown species 'Xx'; known: "),
+], ids=["unknown", "empty", "unknown-and-resonance", "unknown-and-n"])
+def test_species_fails_before_any_chain(tmp_path, capsys, no_chain, lines,
+                                        message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_set_keys(SIM_CONFIG, lines))
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
 
 
 def test_every_declared_parse_but_str_has_faults():

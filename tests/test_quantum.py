@@ -880,6 +880,36 @@ def test_gram_weights_match_the_svd_at_any_rank(cutoff2_generator, data):
         assert got == 0.0
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_schmidt_blocks_change_no_bit(cutoff2_generator, extra):
+    """Entropies from the blocked Gram products equal those from one
+    product over all K samples, for K below, at and above the block."""
+    fock, _ = cutoff2_generator
+    k = quantum._SCHMIDT_BLOCK + extra
+    rng = np.random.default_rng(k)
+    amps = (rng.normal(size=(k, fock.dimension))
+            + 1j * rng.normal(size=(k, fock.dimension)))
+    n_modes = len(fock.modes)
+    # the first cut has the smaller side first, the second the larger
+    for axes in ([0], list(range(1, n_modes))):
+        rest = [m for m in range(n_modes) if m not in axes]
+        moved = np.transpose(amps.reshape((k,) + fock.shape),
+                             [0] + [m + 1 for m in axes + rest])
+        matrices = moved.reshape(k, int(np.prod([fock.shape[m]
+                                                 for m in axes])), -1)
+        adjoint = matrices.conj().swapaxes(1, 2)
+        if matrices.shape[1] <= matrices.shape[2]:
+            weights = np.linalg.eigvalsh(matrices @ adjoint)
+        else:
+            weights = np.linalg.eigvalsh(adjoint @ matrices)
+        kept = weights > 1e-300
+        terms = np.where(kept, weights * np.log(np.where(kept, weights, 1.0)),
+                         0.0)
+        got = quantum._schmidt_entropies(fock, np.arange(fock.dimension),
+                                         amps, axes)
+        assert np.array_equal(got, -np.sum(terms, axis=1) + 0.0)
+
+
 def test_top_fock_population_matches_occupation_loop(six_ion_resonance):
     entry, fock, h = _full_generator(six_ion_resonance, cutoff=2)
     psi, _, _ = quantum.down_conversion_states(fock, entry)
