@@ -7,10 +7,12 @@ trajectory serves every ion species and drive frequency at once.
 
 The integrator is plain velocity Verlet with a fixed step.  Symplecticity
 keeps the sampled energy bounded instead of drifting, which is what the
-mode-energy bookkeeping below relies on.  One loop integrates a batch of
-trajectories that differ only in alpha (a per-member stiffness), so a
-resonant run and its detuned comparisons advance together; a single
-trajectory is a batch of one.
+mode-energy bookkeeping below relies on.  One loop (`_sample_blocks`)
+integrates a batch of trajectories that differ only in alpha (a
+per-member stiffness), so a resonant run and its detuned comparisons
+advance together, and hands the samples out in blocks, which
+`integrate_batch` stores and the `classical` command reduces as they
+arrive; a single trajectory is a batch of one.
 
 The loop holds the state ion-major, positions and velocities of shape
 (n, B, 3), so the pair differences of the whole batch are one matmul on
@@ -37,9 +39,6 @@ operations that rounding depends on:
   scalar for the same reason.
 - The scatter of pair forces back onto the ions runs member by member
   (see `_force_kernel`), since BLAS orders that sum by the product shape.
-
-Samples are buffered ion-major and copied out to each member's own
-arrays a block at a time (see `integrate_batch`).
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ _MIN_SPECTRUM_SAMPLES = 16
 # temporaries of `_potential_offset` then span one block, not the run.
 _ENERGY_BLOCK = 512
 
-# Samples per block of the sample buffer of `integrate_batch`.
+# Samples per block that `_sample_blocks` yields.
 _SAMPLE_BLOCK = 64
 
 
@@ -122,11 +121,14 @@ class Trajectory:
 
     def energy_drift(self) -> float:
         """Relative secular energy change between the first and last windows."""
-        k = max(2, int(self.n_samples * DRIFT_WINDOW))
-        head = float(np.mean(self.total_energy[:k]))
-        tail = float(np.mean(self.total_energy[-k:]))
-        scale = max(abs(head), abs(tail), 1e-300)
-        return abs(tail - head) / scale
+        return _windowed_drift(self.total_energy)
+
+
+def _windowed_drift(energy: np.ndarray) -> float:
+    """`Trajectory.energy_drift` of an energy series."""
+    k = max(2, int(energy.size * DRIFT_WINDOW))
+    head, tail = float(np.mean(energy[:k])), float(np.mean(energy[-k:]))
+    return abs(tail - head) / max(abs(head), abs(tail), 1e-300)
 
 
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,6 +275,12 @@ def _potential_offset(pos: np.ndarray, reference: tuple,
     return trap + np.add.accumulate(terms, axis=-1)[..., -1]
 
 
+def _energy(pos, vel, reference: tuple, alpha: float) -> np.ndarray:
+    """Total energy of samples (..., n, 3): kinetic plus potential offset."""
+    return (0.5 * np.sum(vel * vel, axis=(-2, -1))
+            + _potential_offset(pos, reference, alpha))
+
+
 def _assemble_initial(u: np.ndarray, basis: ModeBasis,
                       displacements: dict[tuple[str, int], float] | None,
                       velocities: dict[tuple[str, int], float] | None,
@@ -334,25 +342,42 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
     alpha sets the transverse stiffness and its vectors turn the initial
     conditions into positions.  Each member comes out exactly as a run
     of its own would, and a member that runs away stops the whole batch
-    with an error naming its alpha.
-
-    The loop runs sample by sample, `stride` steps each; the steps after
-    the last sample are not taken, since nothing reads them.  Each
-    sample is checked against `POSITION_BOUND` (a NaN fails too) before
-    it is stored, and is stored with one assignment of positions and one
-    of velocities into a buffer of `_SAMPLE_BLOCK` ion-major samples,
-    which is copied out to the members' own arrays a block at a time.
-    The members keep separate arrays, so a caller who keeps one does not
-    keep the others alive.
-
-    Each member's total energy is computed over blocks of
-    `_ENERGY_BLOCK` samples.  The potential offset builds several
-    (samples, pairs, 3) temporaries, which over the whole run would
-    outweigh the stored trajectory; every operation is per sample, so the
-    blocks change no bit of the result.  The fixed pair geometry of the
-    equilibrium is built once per call and shared by every block.
+    with an error naming its alpha.  The members keep separate arrays,
+    so a caller who keeps one does not keep the others alive.  Energies
+    are computed per sample, over blocks of `_ENERGY_BLOCK`.
     """
     u = np.asarray(u, dtype=float)
+    times, blocks = _sample_blocks(u, bases, displacements, velocities,
+                                   dt, t_final, stride)
+    samples = times.size
+    traj_pos = [np.empty((samples, u.size, 3)) for _ in bases]
+    traj_vel = [np.empty((samples, u.size, 3)) for _ in bases]
+    for start, pos, vel in blocks:
+        rows = slice(start, start + len(pos))
+        for b in range(len(bases)):
+            traj_pos[b][rows], traj_vel[b][rows] = pos[:, :, b], vel[:, :, b]
+    # the chain at rest, which the energies are measured from
+    reference = _reference_pairs(_assemble_initial(u, bases[0], None, None)[0])
+    out = []
+    for basis, member_pos, member_vel in zip(bases, traj_pos, traj_vel):
+        energy = np.empty(samples)
+        for start in range(0, samples, _ENERGY_BLOCK):
+            block = slice(start, start + _ENERGY_BLOCK)
+            energy[block] = _energy(member_pos[block], member_vel[block],
+                                    reference, basis.alpha)
+        out.append(Trajectory(times=times, positions=member_pos,
+                              velocities=member_vel, total_energy=energy))
+    return out
+
+
+def _sample_blocks(u: np.ndarray, bases: list[ModeBasis], displacements,
+                   velocities, dt: float, t_final: float, stride: int):
+    """Check a batch run (see `integrate_batch`); return its sample times
+    and a generator that integrates it, `stride` steps per sample and
+    none after the last, checks each sample against `POSITION_BOUND` (a
+    NaN fails too) and yields (start, positions, velocities) blocks of
+    up to `_SAMPLE_BLOCK` samples, shaped (samples, n, B, 3): views of
+    one buffer, which the next block overwrites."""
     if not bases:
         raise ValueError("bases must hold at least one mode basis")
     if any(u.size != basis.mu.size for basis in bases):
@@ -370,19 +395,12 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
     pos = np.stack([p for p, _ in initial], axis=1)
     vel = np.stack([v for _, v in initial], axis=1)
 
-    eq_pos = np.zeros((u.size, 3))
-    eq_pos[:, 2] = u
-
     # the loop skips the checks of accelerations(); the sampling check
     # below catches blowups (including the NaNs a collision would
-    # produce) before anything is stored
-    n = u.size
+    # produce) before anything is buffered
     stiff = np.stack([_stiffness(basis.alpha) for basis in bases])
     kick = np.empty_like(pos)
     force = _force_kernel(pos, kick, stiff)
-
-    traj_pos = [np.empty((samples, n, 3)) for _ in bases]
-    traj_vel = [np.empty((samples, n, 3)) for _ in bases]
     buffered = min(_SAMPLE_BLOCK, samples)
     buf_pos = np.empty((buffered,) + pos.shape)
     buf_vel = np.empty_like(buf_pos)
@@ -393,14 +411,14 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
     step_dt = np.full_like(pos, dt)
     half = np.full_like(pos, 0.5 * dt)
     dx = np.empty_like(pos)
-    force()
-    np.multiply(kick, half, kick)
-    add, multiply, steps = np.add, np.multiply, range(stride)
-    for start in range(0, samples, buffered):
-        filled = min(buffered, samples - start)
-        for k in range(filled):
+
+    def blocks():
+        force()
+        np.multiply(kick, half, kick)
+        add, multiply, steps = np.add, np.multiply, range(stride)
+        for i in range(samples):
             # sample 0 is the initial state
-            if start + k:
+            if i:
                 for _ in steps:
                     add(vel, kick, vel)
                     multiply(vel, step_dt, dx)
@@ -416,26 +434,14 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
                                    for b in np.flatnonzero(bad))
                 raise UnstableTrajectoryError(
                     f"ion coordinate exceeded {POSITION_BOUND:g} at "
-                    f"t = {(start + k) * stride * dt:g} (alpha = {alphas})")
+                    f"t = {i * stride * dt:g} (alpha = {alphas})")
+            k = i % buffered
             buf_pos[k] = pos
             buf_vel[k] = vel
-        for b in range(len(bases)):
-            traj_pos[b][start:start + filled] = buf_pos[:filled, :, b]
-            traj_vel[b][start:start + filled] = buf_vel[:filled, :, b]
-    times = np.arange(0, n_steps + 1, stride) * dt
-    reference = _reference_pairs(eq_pos)
-    out = []
-    for basis, member_pos, member_vel in zip(bases, traj_pos, traj_vel):
-        energy = np.empty(samples)
-        for start in range(0, samples, _ENERGY_BLOCK):
-            block = slice(start, start + _ENERGY_BLOCK)
-            vel_block = member_vel[block]
-            kinetic = 0.5 * np.sum(vel_block * vel_block, axis=(-2, -1))
-            energy[block] = kinetic + _potential_offset(
-                member_pos[block], reference, basis.alpha)
-        out.append(Trajectory(times=times, positions=member_pos,
-                              velocities=member_vel, total_energy=energy))
-    return out
+            if k == buffered - 1 or i == samples - 1:
+                yield i - k, buf_pos[:k + 1], buf_vel[:k + 1]
+
+    return np.arange(0, n_steps + 1, stride) * dt, blocks()
 
 
 @dataclass(frozen=True)
@@ -462,17 +468,27 @@ def mode_projection(trajectory: Trajectory, basis: ModeBasis,
     u = np.asarray(u, dtype=float)
     if trajectory.n_ions != u.size or u.size != basis.mu.size:
         raise ValueError("trajectory, equilibrium and basis sizes disagree")
+    return _project(trajectory.positions, trajectory.velocities, basis, u)
+
+
+def _project(positions, velocities, basis: ModeBasis, u) -> ModeProjection:
+    """`mode_projection` of samples (samples, n, 3), row by row.  A lone
+    sample is projected as a pair: numpy sends a one-row matmul to gemv,
+    which sums in another order than gemm."""
+    m = len(positions)
+    if m == 1:
+        positions, velocities = positions[[0, 0]], velocities[[0, 0]]
     v = basis.vectors
     coords: dict[str, np.ndarray] = {}
     energies: dict[str, np.ndarray] = {}
     for direction, axis, eig in (("x", 0, basis.gamma),
                                  ("y", 1, basis.gamma),
                                  ("z", 2, basis.mu)):
-        disp = trajectory.positions[:, :, axis]
+        disp = positions[:, :, axis]
         if direction == "z":
             disp = disp - u
-        q = disp @ v
-        qdot = trajectory.velocities[:, :, axis] @ v
+        q = (disp @ v)[:m]
+        qdot = (velocities[:, :, axis] @ v)[:m]
         coords[direction] = q
         energies[direction] = 0.5 * (qdot * qdot + eig * q * q)
     total = sum(e.sum(axis=1) for e in energies.values())

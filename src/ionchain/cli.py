@@ -117,8 +117,8 @@ class Artifact:
     block of an array becomes Python scalars only when its turn comes.
     Every cell is formatted once.  The plain-text layout pads each column
     to its widest cell, so its blocks are held until the last is
-    formatted, each column of a finished block as one joined string; a
-    table of one block is formatted and written as it stands.
+    formatted, each column of a finished block as one joined string until
+    it is written; a table of one block is formatted and written as is.
     """
 
     def __init__(self, name: str, headers: list[str], rows,
@@ -130,7 +130,7 @@ class Artifact:
 
     def write_text(self, sink, precision: int) -> None:
         widths = [len(h) for h in self.headers]
-        # the finished blocks, compacted, and the last block's columns
+        # finished blocks, compacted until written; the last block's columns
         held, columns = [], []
         for block in _row_blocks(self.rows):
             if columns:
@@ -142,10 +142,10 @@ class Artifact:
         line = "  ".join(["%%-%ds" % w for w in widths])
         lines = [f"# {note}" for note in self.notes]
         lines.append(line % tuple(self.headers))
-        for compact in held:
+        while held:
             lines.extend(map(line.__mod__, zip(*[
                 cells.split("\n") if isinstance(cells, str) else cells
-                for cells in compact])))
+                for cells in held.pop(0)])))
             sink.write("\n".join(lines) + "\n")
             lines = []
         lines.extend(map(line.__mod__, zip(*columns)))
@@ -576,21 +576,48 @@ def cmd_simulate(args) -> int:
                               "live_states": live_states})
 
 
-def _pair_gain(proj, pair: list[int]) -> float:
-    """Largest rise of the transverse pair's mode energy over the run."""
-    series = sum(proj.energies[d][:, p - 1] for d in ("x", "y") for p in pair)
-    return float(np.max(series - series[0]))
+def _reduce_blocks(u, bases, pair, *run) -> tuple:
+    """Integrate a batch (`classical._sample_blocks`), reducing each block
+    as it arrives to the first member's mode coordinates (z, x, y;
+    samples, n) and energy table (t, z, x and y mode energies, total,
+    drift) and to each member's pair gain, the largest rise of the
+    transverse pair's mode energy.  Blocks are projected from contiguous
+    per-member copies, as stored runs are, so the values are those of
+    `mode_projection` over `integrate_batch`, to the bit wherever BLAS
+    sums a block's product in the run's order (see README)."""
+    times, blocks = classical_mod._sample_blocks(u, bases, *run)
+    samples, n = times.size, u.size
+    coords = np.empty((3, samples, n))   # z, x, y
+    table = np.empty((samples, 3 * n + 3))
+    table[:, 0] = times
+    series = [np.empty(samples) for _ in bases]
+    reference = classical_mod._reference_pairs(  # the chain at rest
+        classical_mod._assemble_initial(u, bases[0], None, None)[0])
+    for start, pos, vel in blocks:
+        rows = slice(start, start + len(pos))
+        for b, basis in enumerate(bases):
+            member = pos[:, :, b].copy(), vel[:, :, b].copy()
+            proj = classical_mod._project(*member, basis, u)
+            series[b][rows] = sum(proj.energies[d][:, p - 1]
+                                  for d in ("x", "y") for p in pair)
+            if not b:
+                coords[:, rows] = [proj.coordinates[d] for d in "zxy"]
+                table[rows, 1:-2] = np.hstack(
+                    [proj.energies[d] for d in "zxy"])
+                table[rows, -2] = classical_mod._energy(
+                    *member, reference, basis.alpha)
+    energy = table[:, -2]
+    table[:, -1] = (energy - energy[0]) / max(abs(energy[0]), 1e-300)
+    return coords, table, [float(np.max(s - s[0])) for s in series]
 
 
 def cmd_classical(args) -> int:
     """Integrate the configured run and tabulate its energies and spectra.
 
     With `detune`, the resonant and detuned runs integrate as one batch
-    and each adds one row to the transfer table. Memory is kept to the
-    stored trajectories plus a bounded working set: a member other than
-    the main run is projected, gives its pair gain and is freed before
-    the main run is projected, and the energy table goes to `Artifact`
-    as one float array, which it formats and writes in row blocks.
+    and each adds one row to the transfer table. Only what the tables
+    need outlives a sample block (see `_reduce_blocks`); `Artifact`
+    formats and writes the energy table, one float array, in row blocks.
     """
     cfg = _parse_config(args.config, _CONFIGS["classical"])
     n_ions, dt, t_final, stride, detune = (
@@ -608,7 +635,7 @@ def cmd_classical(args) -> int:
     if cfg["alpha"] is None and entry is None:
         raise ValueError("config needs either 'alpha' or 'resonance'")
     alpha = entry.alpha_res if cfg["alpha"] is None else cfg["alpha"]
-    transfer = []
+    transfer, pair = [], []
     if detune > 0.0:
         if entry is None:
             raise ValueError("'detune' needs a 'resonance' key to detune from")
@@ -631,45 +658,24 @@ def cmd_classical(args) -> int:
     else:
         u = chain.u
         bases = [chain.basis_at(a) for a in alphas]
-    trajs = classical_mod.integrate_batch(
-        u, bases, displacements=cfg["displacement"][1],
-        velocities=cfg["velocity"][1],
-        dt=dt, t_final=t_final, stride=stride)
-    # only the main run is tabulated: each other member gives its pair
-    # gain and is freed before the main run is projected
-    gains = {}
-    for label, run_alpha in transfer:
-        k = alphas.index(run_alpha)
-        if k:
-            gains[label] = _pair_gain(
-                classical_mod.mode_projection(trajs[k], bases[k], u), pair)
-            trajs[k] = None
-    basis, traj = bases[0], trajs[0]
-    del bases, trajs
-    proj = classical_mod.mode_projection(traj, basis, u)
-    for label, _ in transfer:
-        if label not in gains:
-            gains[label] = _pair_gain(proj, pair)
+    coords, energy_rows, member_gains = _reduce_blocks(
+        u, bases, pair, cfg["displacement"][1], cfg["velocity"][1],
+        dt, t_final, stride)
+    gains = {label: member_gains[alphas.index(run_alpha)]
+             for label, run_alpha in transfer}
 
     energy_headers = ["t", *(f"e_{direction}{p}" for direction in "zxy"
                              for p in range(1, n_ions + 1)),
                       "total", "energy_drift"]
-    energy = traj.total_energy
-    drift_scale = max(abs(energy[0]), 1e-300)
-    # an array: the Artifact makes Python floats of one row block at a time
-    energy_rows = np.column_stack(
-        [traj.times, *(proj.energies[d] for d in ("z", "x", "y")),
-         energy, (energy - energy[0]) / drift_scale])
-
     spectra_rows = []
-    dt_sample = float(traj.times[1] - traj.times[0])
-    for direction, eig in (("z", basis.mu), ("x", basis.gamma),
-                           ("y", basis.gamma)):
-        coords = proj.coordinates[direction]
+    dt_sample = float(energy_rows[1, 0] - energy_rows[0, 0])
+    basis = bases[0]
+    for direction, q, eig in zip("zxy", coords,
+                                 (basis.mu, basis.gamma, basis.gamma)):
         for p in range(n_ions):
-            if float(np.max(np.abs(coords[:, p]))) <= 1e-10:
+            if float(np.max(np.abs(q[:, p]))) <= 1e-10:
                 continue
-            peak = float(classical_mod.spectrum(coords[:, p], dt_sample)[0])
+            peak = float(classical_mod.spectrum(q[:, p], dt_sample)[0])
             linear = float(np.sqrt(eig[p]))
             spectra_rows.append((direction, p + 1, peak, linear,
                                  (peak - linear) / linear))
@@ -685,7 +691,8 @@ def cmd_classical(args) -> int:
         "dt": dt, "t_final": t_final, "stride": stride,
         "displacement": cfg["displacement"][0],
         "velocity": cfg["velocity"][0],
-        "windowed_energy_drift": traj.energy_drift(),
+        "windowed_energy_drift": classical_mod._windowed_drift(
+            energy_rows[:, -2]),
     }
 
     if transfer:
@@ -849,6 +856,19 @@ def _table_parse(table: dict, argv: list):
     return argparse.Namespace(**values)
 
 
+def _join_negative_values(argv: list) -> list:
+    """argv with "--flag -2e6" as "--flag=-2e6": argparse reads a negative
+    number in exponent or non-finite form as an option, not as a value."""
+    out = []
+    for token in argv:
+        if out and re.match(r"-(\.?[0-9]|inf|nan)", str(token), re.I) and any(
+                out[-1] in opts for opts, *_ in _dispatch_table().values()):
+            out[-1] += f"={token}"
+        else:
+            out.append(token)
+    return out
+
+
 @functools.lru_cache(maxsize=1)
 def _main_parser() -> argparse.ArgumentParser:
     """The parser `main` falls back to, built once per process, on the
@@ -868,7 +888,7 @@ def main(argv=None) -> int:
     args = _table_parse(_dispatch_table(), argv)
     if args is None:
         try:
-            args = _main_parser().parse_args(argv)
+            args = _main_parser().parse_args(_join_negative_values(argv))
         except SystemExit as exc:
             # argparse exits on --help (0) and on a usage error (2); return
             # the code so an in-process caller gets it like a shell does

@@ -341,17 +341,29 @@ def test_classical_run_of_sixteen_samples_has_spectra(tmp_path, capsys):
     assert "\nz,2," in out.split("== classical_spectra ==")[1]
 
 
+def _no_integration(*args, **kwargs):
+    raise AssertionError("integrated before the config was checked")
+
+
 def _assert_fails_before_integration(tmp_path, capsys, monkeypatch, config,
                                      message):
-    def no_integration(*args, **kwargs):
-        raise AssertionError("integrated before the config was checked")
-
-    monkeypatch.setattr(cli.classical_mod, "integrate_batch", no_integration)
+    # the loop `cmd_classical` integrates through
+    monkeypatch.setattr(cli.classical_mod, "_sample_blocks", _no_integration)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config + "displacement = z2:1e-3\n")
     code, out, err = run_cli(capsys, "classical", str(cfg))
     assert code == 1 and out == ""
     assert message in err
+
+
+def test_classical_integrates_through_the_sample_loop(tmp_path, monkeypatch):
+    # what `_assert_fails_before_integration` patches is what a valid
+    # config reaches, so its checks cannot pass for want of a call
+    monkeypatch.setattr(cli.classical_mod, "_sample_blocks", _no_integration)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\nalpha = 0.5\ndisplacement = z2:1e-3\n")
+    with pytest.raises(AssertionError, match="integrated before"):
+        cli.main(["classical", str(cfg)])
 
 
 def test_bad_mode_amplitude(tmp_path, capsys):
@@ -376,6 +388,43 @@ def test_non_finite_flag_is_a_usage_error(capsys, argv, text):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert f"not a finite number: {text!r}" in err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-2e6", "must be positive: -2e6"),
+    ("-inf", "not a finite number: '-inf'"),
+    ("-1E-3", "must be positive: -1E-3"),
+])
+@pytest.mark.parametrize("argv", [
+    ["epsilon", "--species", "Ca40", "--omega3", "{}"],
+    ["epsilon", "--mass-u", "{}", "--omega3", "1e6"],
+    ["equilibrium", "--n", "3", "--species", "Ca40", "--omega3", "{}"],
+    ["--precision", "3", "equilibrium", "--n", "3", "--mass-u", "{}",
+     "--omega3", "1e6"],
+])
+def test_negative_exponent_value_reaches_the_type_check(capsys, argv, value,
+                                                        message):
+    # argparse reads "-2e6" or "-inf" after a flag as an option of its
+    # own; the value must get the flag's type check, as "--flag=-2e6" does
+    flag = argv[argv.index("{}") - 1]
+    spaced = run_cli(capsys, *[value if a == "{}" else a for a in argv])
+    joined = [a for a in argv if a != "{}"]
+    joined[joined.index(flag)] = f"{flag}={value}"
+    assert spaced == run_cli(capsys, *joined)
+    code, out, err = spaced
+    assert code == 2 and out == ""
+    assert f"argument {flag}: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["epsilon", "--species", "Ca40", "--omega3"],
+    ["epsilon", "--species", "Ca40", "--omega3", "--n", "3"],
+    ["epsilon", "--species", "Ca40", "--omega3", "-x"],
+])
+def test_flag_without_a_value_still_misses_its_argument(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "argument --omega3: expected one argument" in err
 
 
 @pytest.mark.parametrize("key", ["dt", "t_final", "detune", "alpha"])
@@ -751,6 +800,26 @@ def test_classical_run_fits_its_trajectories(tmp_path, monkeypatch):
     assert peak < 10.0, peak
 
 
+def test_detuned_members_keep_only_their_pair_energy(tmp_path, monkeypatch):
+    # two more members may cost their pair-energy series, not a stored
+    # trajectory each (samples x N x 6 x 8 bytes); the tables are built
+    # but not written, so the peak is the integration's
+    monkeypatch.setattr(cli, "_emit", lambda *args, **kwargs: 0)
+    run = ("n = 6\nresonance = 6,5,5\n"
+           "displacement = z5:1e-2,x5:1e-6,x6:1.2e-6,y5:0.8e-6,y6:1e-6\n"
+           "dt = 2e-3\nt_final = 10\nstride = 2\n")
+    single, batch = tmp_path / "single.cfg", tmp_path / "batch.cfg"
+    single.write_text(run)
+    batch.write_text(run + "detune = 0.2\n")
+    peaks, codes = {}, []
+    for cfg in (single, batch, single, batch):   # the first pair warms up
+        peaks[cfg] = _traced_peak_mb(
+            lambda: codes.append(cli.main(["classical", str(cfg)])))
+    assert codes == [0] * 4
+    member_mb = 2501 * 6 * 6 * 8 / 2**20
+    assert peaks[batch] - peaks[single] < member_mb, (peaks, member_mb)
+
+
 # --- file output, manifests, determinism --------------------------------
 
 SIM_CONFIG = """\
@@ -1069,6 +1138,42 @@ def test_classical_transfer_wiring(tmp_path, capsys):
         assert float(row["alpha"]) == scale * entry.alpha_res
         assert float(row["pair_energy_gain"]) == gain
         assert float(row["resonant_over_this"]) == gains[0] / gain
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), batch=st.integers(1, 4), stride=st.integers(1, 7),
+       block=st.sampled_from([1, 2, 3, 7, 64]),
+       steps=st.integers(20, 90),
+       amps=st.lists(st.floats(-0.02, 0.02), min_size=4, max_size=4))
+def test_reduced_blocks_equal_the_stored_runs(chains, n, batch, stride, block,
+                                              steps, amps):
+    u = chains[n]
+    alpha_crit = modes.critical_anisotropy(
+        np.linalg.eigvalsh(modes.axial_matrix(u)))
+    bases = [modes.mode_basis(u, f * alpha_crit)
+             for f in (0.6, 0.45, 0.8, 0.3)[:batch]]
+    run = ({("z", n): amps[0], ("x", 1): amps[1], ("y", n): amps[2]},
+           {("x", n): amps[3]}, 1e-2, steps * 1e-2, stride)
+    pair = sorted({n, n - 1})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classical, "_SAMPLE_BLOCK", block)
+        coords, table, gains = cli._reduce_blocks(u, bases, pair, *run)
+    trajs = classical.integrate_batch(u, bases, *run)
+    projs = [classical.mode_projection(t, b, u) for t, b in zip(trajs, bases)]
+    for gain, proj in zip(gains, projs, strict=True):
+        series = sum(proj.energies[d][:, p - 1] for d in "xy" for p in pair)
+        assert gain == float(np.max(series - series[0]))
+    first = trajs[0]
+    assert np.array_equal(table[:, 0], first.times)
+    for k, d in enumerate("zxy"):
+        assert np.array_equal(coords[k], projs[0].coordinates[d])
+        assert np.array_equal(table[:, 1 + k * n:1 + (k + 1) * n],
+                              projs[0].energies[d])
+    assert np.array_equal(table[:, -2], first.total_energy)
+    assert np.array_equal(
+        table[:, -1], (first.total_energy - first.total_energy[0])
+        / max(abs(first.total_energy[0]), 1e-300))
+    assert classical._windowed_drift(table[:, -2]) == first.energy_drift()
 
 
 @pytest.fixture
