@@ -416,6 +416,7 @@ def _sample_blocks(u: np.ndarray, bases: list[ModeBasis], displacements,
         force()
         np.multiply(kick, half, kick)
         add, multiply, steps = np.add, np.multiply, range(stride)
+        largest, smallest = np.maximum.reduce, np.minimum.reduce  # no wrappers
         for i in range(samples):
             # sample 0 is the initial state
             if i:
@@ -427,8 +428,8 @@ def _sample_blocks(u: np.ndarray, bases: list[ModeBasis], displacements,
                     multiply(kick, half, kick)
                     add(vel, kick, vel)
             # written so that NaN fails the test as well
-            if not (pos.max() <= POSITION_BOUND
-                    and -pos.min() <= POSITION_BOUND):
+            if not (largest(pos, None) <= POSITION_BOUND
+                    and -smallest(pos, None) <= POSITION_BOUND):
                 bad = ~(np.max(np.abs(pos), axis=(0, 2)) <= POSITION_BOUND)
                 alphas = ", ".join(f"{bases[b].alpha:g}"
                                    for b in np.flatnonzero(bad))
@@ -463,7 +464,8 @@ def mode_projection(trajectory: Trajectory, basis: ModeBasis,
 
     Axial mode energies use the axial eigenvalues, transverse ones use the
     transverse eigenvalues; in the linear regime the grand total matches
-    the trajectory energy.
+    the trajectory energy.  A sample projects to the same bits in a run
+    of any length, and as the `classical` command streams it.
     """
     u = np.asarray(u, dtype=float)
     if trajectory.n_ions != u.size or u.size != basis.mu.size:
@@ -471,13 +473,21 @@ def mode_projection(trajectory: Trajectory, basis: ModeBasis,
     return _project(trajectory.positions, trajectory.velocities, basis, u)
 
 
+def _rows_times(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v in the row blocks `_sample_blocks` yields, as BLAS sums a
+    longer product in another order; a lone row as a pair, as numpy sends
+    a one-row matmul to gemv, which sums in another order than gemm."""
+    if 1 < len(a) <= _SAMPLE_BLOCK:
+        return a @ v
+    out = np.empty((len(a), v.shape[1]))
+    for k in range(0, len(a), _SAMPLE_BLOCK):
+        rows = a[k:k + _SAMPLE_BLOCK] if len(a) - k > 1 else a[[k, k]]
+        out[k:k + _SAMPLE_BLOCK] = (rows @ v)[:len(a) - k]
+    return out
+
+
 def _project(positions, velocities, basis: ModeBasis, u) -> ModeProjection:
-    """`mode_projection` of samples (samples, n, 3), row by row.  A lone
-    sample is projected as a pair: numpy sends a one-row matmul to gemv,
-    which sums in another order than gemm."""
-    m = len(positions)
-    if m == 1:
-        positions, velocities = positions[[0, 0]], velocities[[0, 0]]
+    """`mode_projection` of samples (samples, n, 3), unchecked."""
     v = basis.vectors
     coords: dict[str, np.ndarray] = {}
     energies: dict[str, np.ndarray] = {}
@@ -487,8 +497,8 @@ def _project(positions, velocities, basis: ModeBasis, u) -> ModeProjection:
         disp = positions[:, :, axis]
         if direction == "z":
             disp = disp - u
-        q = (disp @ v)[:m]
-        qdot = (velocities[:, :, axis] @ v)[:m]
+        q = _rows_times(disp, v)
+        qdot = _rows_times(velocities[:, :, axis], v)
         coords[direction] = q
         energies[direction] = 0.5 * (qdot * qdot + eig * q * q)
     total = sum(e.sum(axis=1) for e in energies.values())

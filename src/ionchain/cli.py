@@ -79,20 +79,23 @@ def _row_blocks(rows):
 
 
 def _format_columns(rows: list, precision: int, cell=_fmt,
-                    parse=None) -> list[list]:
+                    parse=None, whole=str) -> list[list]:
     """The cells of `rows` as `cell` formats them, one list per column.
 
     A column of plain floats, the common case, is formatted by one
     C-level call per cell, as `_fmt` does, and then passed through
-    `parse` if one is given; any other column goes through `cell`.
+    `parse` if one is given; one of plain ints goes through `whole`, what
+    `cell` does to an int; any other column goes through `cell`.
     """
     spec = f"%.{precision}g".__mod__
-    plain = _PLAIN_FLOATS.issuperset
+    plain, ints = _PLAIN_FLOATS.issuperset, {int}.issuperset
     columns = []
     for column in zip(*rows):
         if plain(map(type, column)):
             cells = map(spec, column)
             columns.append(list(map(parse, cells) if parse else cells))
+        elif ints(map(type, column)):
+            columns.append(list(map(whole, column)))
         else:
             columns.append(list(map(cell, column,
                                     itertools.repeat(precision))))
@@ -173,7 +176,7 @@ class Artifact:
         sink.write('{\n  "name": %s,\n  "rows": ' % json.dumps(self.name))
         separator = "[\n"
         for block in _row_blocks(self.rows):
-            columns = _format_columns(block, precision, _json_cell, float)
+            columns = _format_columns(block, precision, _json_cell, float, int)
             # an encoded scalar holds no raw newline, so one splits the cells
             cells = [json.dumps(columns[i], separators=("\n", ": "))[1:-1]
                      .split("\n") for i in last.values()]
@@ -582,9 +585,9 @@ def _reduce_blocks(u, bases, pair, *run) -> tuple:
     samples, n) and energy table (t, z, x and y mode energies, total,
     drift) and to each member's pair gain, the largest rise of the
     transverse pair's mode energy.  Blocks are projected from contiguous
-    per-member copies, as stored runs are, so the values are those of
-    `mode_projection` over `integrate_batch`, to the bit wherever BLAS
-    sums a block's product in the run's order (see README)."""
+    per-member copies, as stored runs are, in the row blocks
+    `mode_projection` uses, so the values are those of `mode_projection`
+    over `integrate_batch`, bit for bit."""
     times, blocks = classical_mod._sample_blocks(u, bases, *run)
     samples, n = times.size, u.size
     coords = np.empty((3, samples, n))   # z, x, y

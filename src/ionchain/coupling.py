@@ -18,7 +18,7 @@ exactly 0.0, so the quantum generator splits along mirror parity and the
 catalog's coupling floor never sees them.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -38,10 +38,6 @@ __all__ = [
 # the difference) has no mirror parity; N = 2..32 stay below 1.1e-14.
 MIRROR_TOL = 1e-8
 
-# The order optimize=True picks for every N from 2 to 32: contract one
-# eigenvector at a time. Fixing it skips einsum's per-call path search.
-_CONTRACTION_PATH = ["einsum_path", (0, 1), (0, 2), (0, 1)]
-
 
 def ion_tensor(u: np.ndarray) -> np.ndarray:
     """Third-order potential derivatives in ion coordinates, (N,N,N).
@@ -58,19 +54,21 @@ def ion_tensor(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     n = u.size
-    diff = u[:, None] - u[None, :]
-    off = ~np.eye(n, dtype=bool)
-    w = np.zeros((n, n))
-    w[off] = np.sign(-diff[off]) / diff[off] ** 4
+    diff = modes_mod._differences(u)
+    w = np.sign(-diff) / diff**4
+    w.reshape(-1)[::n + 1] = 0.0  # sign(-inf)/inf^4 is -0.0, kept out of C
 
     c = np.zeros((n, n, n))
-    m, p = np.nonzero(off)
-    c[m, m, p] = c[m, p, m] = c[p, m, m] = -w[m, p]
     i = np.arange(n)
-    c[i, i, i] = w.sum(axis=1)
+    neg = -w
+    # C_mmp, C_mpm and C_pmm for every (m, p); the diagonal follows
+    c[i, i] = c[i, :, i] = neg
+    c[:, i, i] = neg.T
+    c[i, i, i] = np.add.reduce(w, 1)
 
     for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        if not np.array_equal(c, c.transpose(perm)):
+        # np.array_equal's test, without its wrapper
+        if not np.logical_and.reduce(c == c.transpose(perm), None):
             asymmetry = float(np.max(np.abs(c - c.transpose(perm))))
             raise IonChainError(
                 f"cubic tensor construction asymmetric by {asymmetry:.1e} "
@@ -85,10 +83,15 @@ def mode_tensor(ion: np.ndarray, basis: modes_mod.ModeBasis) -> np.ndarray:
     One eigenvector at a time, O(N^4) instead of the O(N^6) of the single
     nested sum; the result agrees to rounding. Symmetry-forbidden entries
     come out as rounding noise here; `coupling_tensors` zeroes them.
+    These are the matmuls, on the same operand layouts, that np.einsum
+    runs on the path optimize=True picks for N = 2..32: the same floats.
     """
     v = basis.vectors
-    return np.einsum("lmn,lp,mq,nr->pqr", ion, v, v, v,
-                     optimize=_CONTRACTION_PATH)
+    n = v.shape[0]
+    t = (v.T @ ion.reshape(n, n * n)).reshape(n, n, n)  # (p, m, n)
+    t = t.transpose(2, 0, 1).reshape(n * n, n) @ v  # (n, p, q)
+    t = t.reshape(n, n, n).transpose(1, 2, 0).reshape(n * n, n) @ v
+    return t.reshape(n, n, n)
 
 
 def _mirror_parity(vectors: np.ndarray) -> np.ndarray:
@@ -152,12 +155,8 @@ def coupling_tensors(u: np.ndarray, basis: modes_mod.ModeBasis) -> CouplingTenso
     ion = ion_tensor(u)
     mode = mode_tensor(ion, basis)
     mode[_forbidden(parity)] = 0.0
-    return CouplingTensors(
-        ion=ion,
-        mode=mode,
-        stretch_norm=float(np.sqrt(np.sum(u**2))),
-        parity=parity,
-    )
+    return CouplingTensors(ion=ion, mode=mode, parity=parity,
+                           stretch_norm=float(np.sqrt(np.sum(u**2))))
 
 
 @dataclass(frozen=True)
@@ -179,13 +178,7 @@ class IdentityReport:
     mirror_parity: float
 
     def max_violation(self) -> float:
-        return max(
-            self.index_sum,
-            self.com_decoupling,
-            self.position_weighted,
-            self.stretch_diagonal,
-            self.mirror_parity,
-        )
+        return max(astuple(self))
 
 
 def check_identities(
@@ -219,10 +212,5 @@ def check_identities(
     unmasked = mode_tensor(c, basis)
     mirror_parity = float(np.max(np.abs(unmasked[_forbidden(tensors.parity)])))
 
-    return IdentityReport(
-        index_sum=index_sum,
-        com_decoupling=com_decoupling,
-        position_weighted=position_weighted,
-        stretch_diagonal=stretch_diagonal,
-        mirror_parity=mirror_parity,
-    )
+    return IdentityReport(index_sum, com_decoupling, position_weighted,
+                          stretch_diagonal, mirror_parity)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import constants
 from .errors import ConvergenceError
-from .modes import axial_matrix
+from .modes import _differences, axial_matrix
 
 __all__ = [
     "IonSpecies",
@@ -70,13 +70,10 @@ def equilibrium_residual(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 1:
         raise ValueError("u must be a 1-d array with at least one entry")
-    diff = u[:, None] - u[None, :]
-    off = ~np.eye(u.size, dtype=bool)
-    if np.any(diff[off] == 0.0):
+    diff = _differences(u)
+    if not np.logical_and.reduce(diff, None):
         raise ValueError("degenerate configuration: two ions share a position")
-    force = np.zeros_like(diff)
-    force[off] = np.sign(diff[off]) / diff[off] ** 2
-    return u - force.sum(axis=1)
+    return u - np.add.reduce(np.sign(diff) / diff**2, 1)
 
 
 def _initial_guess(n: int) -> np.ndarray:
@@ -127,10 +124,11 @@ def solve_equilibrium(n_ions: int) -> np.ndarray:
     if n_ions == 1:
         return np.zeros(1)
 
+    largest, every = np.maximum.reduce, np.logical_and.reduce  # no wrappers
     u = _initial_guess(n_ions)
     res = equilibrium_residual(u)
     for _ in range(MAX_ITER):
-        norm = np.max(np.abs(res))
+        norm = largest(np.abs(res))
         if norm < RESIDUAL_TOL:
             break
         jacobian = axial_matrix(u)
@@ -138,9 +136,9 @@ def solve_equilibrium(n_ions: int) -> np.ndarray:
         damping = 1.0
         for _ in range(60):
             trial = u - damping * step
-            if np.all(np.diff(trial) > 0.0):
+            if every(trial[1:] > trial[:-1]):
                 trial_res = equilibrium_residual(trial)
-                if np.max(np.abs(trial_res)) < norm:
+                if largest(np.abs(trial_res)) < norm:
                     break
             damping *= 0.5
         else:

@@ -28,6 +28,14 @@ __all__ = [
 DEGENERACY_GAP = 1e-9
 
 
+def _differences(u: np.ndarray) -> np.ndarray:
+    """u_m - u_n with +inf on the diagonal, where a pair term such as
+    sgn(d)/d^2 or |d|^-3 is an exact zero: q != m sums need no mask."""
+    diff = u[:, None] - u
+    diff.reshape(-1)[::u.size + 1] = np.inf
+    return diff
+
+
 def axial_matrix(u: np.ndarray) -> np.ndarray:
     """Axial coupling matrix at dimensionless positions u.
 
@@ -35,13 +43,9 @@ def axial_matrix(u: np.ndarray) -> np.ndarray:
     Symmetric positive definite on a proper equilibrium.
     """
     u = np.asarray(u, dtype=float)
-    n = u.size
-    diff = u[:, None] - u[None, :]
-    off = ~np.eye(n, dtype=bool)
-    inv3 = np.zeros((n, n))
-    inv3[off] = np.abs(diff[off]) ** -3
+    inv3 = np.abs(_differences(u)) ** -3
     a = -2.0 * inv3
-    np.fill_diagonal(a, 1.0 + 2.0 * inv3.sum(axis=1))
+    a.reshape(-1)[::u.size + 1] = 1.0 + 2.0 * np.add.reduce(inv3, 1)
     return a
 
 

@@ -242,8 +242,8 @@ class _Chain:
     resonances: MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "resonances", MappingProxyType(
-            {(e.p, min(e.m, e.n), max(e.m, e.n)): e for e in _catalog(self)}))
+        object.__setattr__(self, "resonances",
+                           MappingProxyType(_catalog(self)))
 
     @property
     def n_ions(self) -> int:
@@ -306,7 +306,8 @@ def _memo_chain(n_ions: int) -> _Chain:
 
 
 def _catalog(chain: _Chain, tol: float = MATCH_TOL):
-    """Every resonance of a solved chain, sorted by (p, m, n).
+    """Every resonance of a solved chain, keyed by its (p, i, j) =
+    (p, min(m, n), max(m, n)), in (p, m, n) order.
 
     Every step is one numpy expression over all (p, i <= j) in 2..N: the
     candidate alpha, the zig-zag window, the two delta signs with the
@@ -330,19 +331,15 @@ def _catalog(chain: _Chain, tol: float = MATCH_TOL):
     keep = (second | (first & (i != j))) & (np.abs(coupling) > COUPLING_FLOOR)
     kept = np.flatnonzero(keep)
     kept = kept[np.lexsort((n[kept], m[kept], p[kept]))]
-    return [
-        ResonanceEntry(
-            n_ions=chain.n_ions,
-            m=int(m[k]),
-            n=int(n[k]),
-            p=int(p[k]),
-            kind=SECOND_KIND if second[k] else FIRST_KIND,
-            alpha_res=float(alpha[k]),
-            coupling=float(coupling[k]),
-            delta_residual=float(residual[k]),
-        )
-        for k in kept
-    ]
+    # each kept column read once, as Python scalars, and passed in the
+    # field order of ResonanceEntry
+    p = p[kept].tolist()
+    kinds = [SECOND_KIND if s else FIRST_KIND for s in second[kept].tolist()]
+    entries = map(ResonanceEntry, [chain.n_ions] * kept.size,
+                  m[kept].tolist(), n[kept].tolist(), p, kinds,
+                  alpha[kept].tolist(), coupling[kept].tolist(),
+                  residual[kept].tolist())
+    return dict(zip(zip(p, i[kept].tolist(), j[kept].tolist()), entries))
 
 
 def build_catalog(n_ions: int, n_cap: int = 10):

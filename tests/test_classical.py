@@ -387,6 +387,17 @@ def test_runaway_member_is_named(two_ion_setup):
     assert "0.01" not in str(exc.value)
 
 
+def test_nan_fails_the_bound_check(two_ion_setup):
+    # a NaN velocity passes the argument checks and makes the first
+    # stepped sample NaN, which the bound check must reject
+    u, basis = two_ion_setup
+    with pytest.raises(UnstableTrajectoryError,
+                       match=r"^ion coordinate exceeded 1000 at t = 0\.001 "
+                             r"\(alpha = 0\.5\)$"):
+        classical.integrate(u, basis, velocities={("x", 1): np.nan},
+                            dt=1e-3, t_final=0.01, stride=1)
+
+
 def test_integrate_batch_argument_validation(two_ion_setup, chains):
     u, basis = two_ion_setup
     with pytest.raises(ValueError, match="at least one mode basis"):

@@ -579,6 +579,17 @@ def _reference_json(name, headers, rows, precision):
     return json.dumps({"name": name, "rows": records}, indent=2) + "\n"
 
 
+def test_plain_int_columns_skip_the_cell_function():
+    def cell(value, precision):
+        raise AssertionError(f"{value!r} went through the cell function")
+
+    rows = [(1, -2, 10**30), (3, 4, 0)]
+    assert cli._format_columns(rows, 6, cell) == [
+        ["1", "3"], ["-2", "4"], [str(10**30), "0"]]
+    assert cli._format_columns(rows, 6, cell, float, int) == [
+        [1, 3], [-2, 4], [10**30, 0]]
+
+
 _CELL_KINDS = [
     st.text(max_size=6),
     st.integers(-10**20, 10**20),
@@ -1174,6 +1185,27 @@ def test_reduced_blocks_equal_the_stored_runs(chains, n, batch, stride, block,
         table[:, -1], (first.total_energy - first.total_energy[0])
         / max(abs(first.total_energy[0]), 1e-300))
     assert classical._windowed_drift(table[:, -2]) == first.energy_drift()
+
+
+def test_long_run_projection_is_independent_of_run_length():
+    # at N = 17-20 OpenBLAS sums a product of 5001 or more rows in another
+    # order than a 64-row one; the stored run is projected in the streamed
+    # run's blocks, so every sample agrees to the bit
+    n = 18
+    u = equilibrium.solve_equilibrium(n)
+    alpha = 0.5 * modes.critical_anisotropy(
+        np.linalg.eigvalsh(modes.axial_matrix(u)))
+    basis = modes.mode_basis(u, alpha)
+    run = ({("z", n): 0.01, ("z", 2): 0.02, ("x", 3): 0.01, ("y", n): -0.01},
+           {("x", n): 0.01}, 1e-2, 50.0, 1)
+    traj = classical.integrate(u, basis, *run)
+    assert traj.n_samples == 5001
+    proj = classical.mode_projection(traj, basis, u)
+    coords, table, _ = cli._reduce_blocks(u, [basis], [n, n - 1], *run)
+    for k, d in enumerate("zxy"):
+        assert np.array_equal(coords[k], proj.coordinates[d])
+        assert np.array_equal(table[:, 1 + k * n:1 + (k + 1) * n],
+                              proj.energies[d])
 
 
 @pytest.fixture
