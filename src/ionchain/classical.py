@@ -477,12 +477,13 @@ def _rows_times(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a @ v in the row blocks `_sample_blocks` yields, as BLAS sums a
     longer product in another order; a lone row as a pair, as numpy sends
     a one-row matmul to gemv, which sums in another order than gemm."""
-    if 1 < len(a) <= _SAMPLE_BLOCK:
-        return a @ v
     out = np.empty((len(a), v.shape[1]))
     for k in range(0, len(a), _SAMPLE_BLOCK):
-        rows = a[k:k + _SAMPLE_BLOCK] if len(a) - k > 1 else a[[k, k]]
-        out[k:k + _SAMPLE_BLOCK] = (rows @ v)[:len(a) - k]
+        m = min(_SAMPLE_BLOCK, len(a) - k)
+        if m > 1:
+            np.matmul(a[k:k + m], v, out[k:k + m])
+        else:
+            out[k] = (a[[k, k]] @ v)[0]
     return out
 
 

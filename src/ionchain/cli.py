@@ -79,13 +79,14 @@ def _row_blocks(rows):
 
 
 def _format_columns(rows: list, precision: int, cell=_fmt,
-                    parse=None, whole=str) -> list[list]:
+                    parse=None) -> list[list]:
     """The cells of `rows` as `cell` formats them, one list per column.
 
     A column of plain floats, the common case, is formatted by one
     C-level call per cell, as `_fmt` does, and then passed through
-    `parse` if one is given; one of plain ints goes through `whole`, what
-    `cell` does to an int; any other column goes through `cell`.
+    `parse` if one is given; a column of plain ints stays ints where
+    `parse` is given (JSON) and becomes `str`s otherwise, as `cell` makes
+    it; any other column goes through `cell`.
     """
     spec = f"%.{precision}g".__mod__
     plain, ints = _PLAIN_FLOATS.issuperset, {int}.issuperset
@@ -95,7 +96,7 @@ def _format_columns(rows: list, precision: int, cell=_fmt,
             cells = map(spec, column)
             columns.append(list(map(parse, cells) if parse else cells))
         elif ints(map(type, column)):
-            columns.append(list(map(whole, column)))
+            columns.append(list(column) if parse else list(map(str, column)))
         else:
             columns.append(list(map(cell, column,
                                     itertools.repeat(precision))))
@@ -176,7 +177,7 @@ class Artifact:
         sink.write('{\n  "name": %s,\n  "rows": ' % json.dumps(self.name))
         separator = "[\n"
         for block in _row_blocks(self.rows):
-            columns = _format_columns(block, precision, _json_cell, float, int)
+            columns = _format_columns(block, precision, _json_cell, float)
             # an encoded scalar holds no raw newline, so one splits the cells
             cells = [json.dumps(columns[i], separators=("\n", ": "))[1:-1]
                      .split("\n") for i in last.values()]

@@ -18,7 +18,7 @@ exactly 0.0, so the quantum generator splits along mirror parity and the
 catalog's coupling floor never sees them.
 """
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,8 +155,12 @@ def coupling_tensors(u: np.ndarray, basis: modes_mod.ModeBasis) -> CouplingTenso
     ion = ion_tensor(u)
     mode = mode_tensor(ion, basis)
     mode[_forbidden(parity)] = 0.0
-    return CouplingTensors(ion=ion, mode=mode, parity=parity,
-                           stretch_norm=float(np.sqrt(np.sum(u**2))))
+    return CouplingTensors(
+        ion=ion,
+        mode=mode,
+        stretch_norm=float(np.sqrt(np.sum(u**2))),
+        parity=parity,
+    )
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,13 @@ class IdentityReport:
     mirror_parity: float
 
     def max_violation(self) -> float:
-        return max(astuple(self))
+        return max(
+            self.index_sum,
+            self.com_decoupling,
+            self.position_weighted,
+            self.stretch_diagonal,
+            self.mirror_parity,
+        )
 
 
 def check_identities(
@@ -212,5 +222,10 @@ def check_identities(
     unmasked = mode_tensor(c, basis)
     mirror_parity = float(np.max(np.abs(unmasked[_forbidden(tensors.parity)])))
 
-    return IdentityReport(index_sum, com_decoupling, position_weighted,
-                          stretch_diagonal, mirror_parity)
+    return IdentityReport(
+        index_sum=index_sum,
+        com_decoupling=com_decoupling,
+        position_weighted=position_weighted,
+        stretch_diagonal=stretch_diagonal,
+        mirror_parity=mirror_parity,
+    )

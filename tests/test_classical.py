@@ -269,6 +269,23 @@ def test_sample_blocks_change_no_bit(chains, monkeypatch, t_final, stride):
             assert np.array_equal(got.velocities, whole.velocities)
 
 
+def test_projection_blocks_change_no_bit(chains, monkeypatch):
+    # 130 samples end in a lone one at every block size below; a block
+    # of one row is projected as a pair, since numpy sends a one-row
+    # matmul to gemv, which sums in another order than gemm
+    u = chains[6]
+    basis = modes.mode_basis(u, 0.05)
+    traj = classical.integrate(u, basis, {("z", 6): 0.02, ("x", 5): 0.01},
+                               {("y", 1): 0.01}, dt=1e-2, t_final=1.29)
+    whole = classical.mode_projection(traj, basis, u)
+    for block in (1, 2, 3, 7):
+        monkeypatch.setattr(classical, "_SAMPLE_BLOCK", block)
+        got = classical.mode_projection(traj, basis, u)
+        for d in "xyz":
+            assert np.array_equal(got.coordinates[d], whole.coordinates[d])
+            assert np.array_equal(got.energies[d], whole.energies[d])
+
+
 def test_one_sample_offset_equals_its_batch_row(chains):
     # the pair sum folds left in every layout, where `sum` would sum a
     # lone sample's contiguous row pairwise

@@ -586,7 +586,7 @@ def test_plain_int_columns_skip_the_cell_function():
     rows = [(1, -2, 10**30), (3, 4, 0)]
     assert cli._format_columns(rows, 6, cell) == [
         ["1", "3"], ["-2", "4"], [str(10**30), "0"]]
-    assert cli._format_columns(rows, 6, cell, float, int) == [
+    assert cli._format_columns(rows, 6, cell, float) == [
         [1, 3], [-2, 4], [10**30, 0]]
 
 
