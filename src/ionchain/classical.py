@@ -227,7 +227,7 @@ def accelerations(positions: np.ndarray, alpha: float) -> np.ndarray:
     pos = np.asarray(positions, dtype=float)
     if pos.ndim < 2 or pos.shape[-1] != 3:
         raise ValueError("positions must have shape (..., n, 3)")
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     n = pos.shape[-2]
     if np.any(_separations(pos, _pairs(n)[1])[1] == 0.0):
@@ -518,7 +518,7 @@ def spectrum(series: np.ndarray, dt: float, n_peaks: int = 1) -> np.ndarray:
     if y.size < _MIN_SPECTRUM_SAMPLES:
         raise ValueError(f"series too short for a spectrum "
                          f"(need >= {_MIN_SPECTRUM_SAMPLES} samples)")
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     if n_peaks < 1:
         raise ValueError("n_peaks must be at least 1")

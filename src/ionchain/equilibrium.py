@@ -9,6 +9,8 @@ the summed Coulomb repulsion of the others.
 from dataclasses import dataclass
 
 import numpy as np
+# the LAPACK gufunc np.linalg.solve calls for a 1-d right-hand side
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from . import constants
 from .errors import ConvergenceError
@@ -119,6 +121,8 @@ def solve_equilibrium(n_ions: int) -> np.ndarray:
     ones depending on the BLAS thread count, and every N up to 300
     solves with one BLAS thread or two (numpy 2.4, OpenBLAS, x86-64).
     """
+    if not isinstance(n_ions, (int, np.integer)):
+        raise ValueError(f"n_ions must be an integer, got {n_ions!r}")
     if n_ions < 1:
         raise ValueError(f"n_ions must be >= 1, got {n_ions}")
     if n_ions == 1:
@@ -132,7 +136,10 @@ def solve_equilibrium(n_ions: int) -> np.ndarray:
         if norm < RESIDUAL_TOL:
             break
         jacobian = axial_matrix(u)
-        step = np.linalg.solve(jacobian, res)
+        # np.linalg.solve's gufunc without its singular-matrix errstate: the
+        # Jacobian is strictly diagonally dominant at every ordered iterate,
+        # and a NaN step fails the ordering test below like a stalled one
+        step = _solve1(jacobian, res, signature="dd->d")
         damping = 1.0
         for _ in range(60):
             trial = u - damping * step

@@ -97,13 +97,13 @@ def _spectrum(axial: np.ndarray) -> tuple:
     axial = np.asarray(axial, dtype=float)
     if axial.ndim != 2 or axial.shape[0] != axial.shape[1]:
         raise ValueError("axial matrix must be square")
-    if np.max(np.abs(axial - axial.T)) > 1e-12:
+    if np.maximum.reduce(np.abs(axial - axial.T), None) > 1e-12:
         raise ValueError("axial matrix must be symmetric")
 
     mu, vectors = np.linalg.eigh(axial)  # ascending eigenvalues
     if mu.size >= 2:
-        gaps = np.diff(mu)
-        if np.min(gaps) < DEGENERACY_GAP:
+        gaps = mu[1:] - mu[:-1]
+        if np.minimum.reduce(gaps) < DEGENERACY_GAP:
             p = int(np.argmin(gaps))
             raise DegenerateModesError(
                 f"axial eigenvalues {p + 1} and {p + 2} are degenerate to "
@@ -119,15 +119,14 @@ def _at_alpha(mu: np.ndarray, vectors: np.ndarray, alpha: float) -> ModeBasis:
         if alpha >= alpha_crit:
             raise ZigZagError(alpha, alpha_crit)
 
-    for p in range(mu.size):
-        last = vectors[-1, p]
-        if abs(last) < 1e-12:
-            raise IonChainError(
-                f"mode {p + 1} has vanishing amplitude on the last ion; "
-                "sign convention cannot be applied"
-            )
-        if last < 0.0:
-            vectors[:, p] = -vectors[:, p]
+    last = vectors[-1]
+    vanishing = (np.abs(last) < 1e-12).nonzero()[0]
+    if vanishing.size:
+        raise IonChainError(
+            f"mode {vanishing[0] + 1} has vanishing amplitude on the last "
+            "ion; sign convention cannot be applied"
+        )
+    np.negative(vectors, out=vectors, where=last < 0.0)
 
     return ModeBasis(mu=mu, gamma=_transverse_eigenvalues(mu, alpha),
                      vectors=vectors, alpha=alpha)

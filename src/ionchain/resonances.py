@@ -23,7 +23,9 @@ formula, and mu is the chain's one axial spectrum (see `_Chain`).
 """
 
 import functools
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -60,6 +62,25 @@ def _first_failing(values, ok):
     return np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)].flat[0]
 
 
+def _roots(mu_m, mu_n, mu_p, alpha):
+    """sqrt(gamma_m), sqrt(gamma_n) and sqrt(mu_p), once both signs of
+    `delta` may be taken: alpha and both transverse eigenvalues positive."""
+    positive = alpha > 0.0
+    if not np.logical_and.reduce(positive, None):  # np.all, no wrapper
+        raise ValueError(
+            f"alpha must be positive, got {_first_failing(alpha, positive)}")
+    gm = modes_mod._transverse_eigenvalues(mu_m, alpha)
+    gn = modes_mod._transverse_eigenvalues(mu_n, alpha)
+    linear = (gm > 0.0) & (gn > 0.0)
+    if not np.logical_and.reduce(linear, None):
+        raise ValueError(
+            f"transverse eigenvalue not positive at "
+            f"alpha={_first_failing(alpha, linear):.6g}; "
+            "outside the linear regime"
+        )
+    return gm**0.5, gn**0.5, mu_p**0.5
+
+
 def delta(mu_m, mu_n, mu_p, alpha, sign: int):
     """Resonance mismatch sqrt(gamma_m) +/- sqrt(gamma_n) - sqrt(mu_p).
 
@@ -70,20 +91,8 @@ def delta(mu_m, mu_n, mu_p, alpha, sign: int):
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    positive = alpha > 0.0
-    if not np.all(positive):
-        raise ValueError(
-            f"alpha must be positive, got {_first_failing(alpha, positive)}")
-    gm = modes_mod._transverse_eigenvalues(mu_m, alpha)
-    gn = modes_mod._transverse_eigenvalues(mu_n, alpha)
-    linear = (gm > 0.0) & (gn > 0.0)
-    if not np.all(linear):
-        raise ValueError(
-            f"transverse eigenvalue not positive at "
-            f"alpha={_first_failing(alpha, linear):.6g}; "
-            "outside the linear regime"
-        )
-    return gm**0.5 + sign * gn**0.5 - mu_p**0.5
+    root_m, root_n, root_p = _roots(mu_m, mu_n, mu_p, alpha)
+    return root_m + sign * root_n - root_p
 
 
 def candidate_alpha(mu_m, mu_n, mu_p):
@@ -109,7 +118,7 @@ def candidate_alpha(mu_m, mu_n, mu_p):
         - 2.0 * mu_m * mu_n
     )
     positive = den > 0.0
-    if not np.all(positive):
+    if not np.logical_and.reduce(positive, None):
         raise ValueError(
             f"non-positive denominator for eigenvalues "
             f"({_first_failing(mu_m, positive):.6g}, "
@@ -126,12 +135,13 @@ def _match(mu_m, mu_n, mu_p, alpha, tol):
     delta (the first-kind one where neither matches). Raises if both
     conditions match for any candidate.
     """
-    d_plus = delta(mu_m, mu_n, mu_p, alpha, +1)
-    d_minus = delta(mu_m, mu_n, mu_p, alpha, -1)
+    root_m, root_n, root_p = _roots(mu_m, mu_n, mu_p, alpha)
+    d_plus = root_m + root_n - root_p  # delta's two signs, the same bits
+    d_minus = root_m - root_n - root_p
     plus_ok = abs(d_plus) < tol
     minus_ok = abs(d_minus) < tol
     unambiguous = np.logical_not(plus_ok & minus_ok)
-    if not np.all(unambiguous):
+    if not np.logical_and.reduce(unambiguous, None):
         raise ValueError(
             f"ambiguous resonance: both conditions vanish at "
             f"alpha={_first_failing(alpha, unambiguous):.9g}"
@@ -275,8 +285,8 @@ def _solve_chain(n_ions: int, n_cap: int = 10) -> _Chain:
     """The solved n_ions chain; n_cap bounds it as in `build_catalog`.
 
     Each chain length is solved once per process: the result is kept in
-    an LRU memo of _CHAIN_MEMO_SIZE chains keyed by n_ions alone, so
-    repeated CLI calls and catalogs in one process share it. The guard
+    an LRU memo of _CHAIN_MEMO_SIZE chains keyed by n_ions and its type,
+    so repeated CLI calls and catalogs in one process share it. The guard
     runs before the lookup, so an out-of-range n_ions raises on every
     call and nothing is cached for it. The ion and mode tensors, 2 N^3
     8-byte floats, and the catalog make up an entry: 32 KB at N = 10,
@@ -286,7 +296,7 @@ def _solve_chain(n_ions: int, n_cap: int = 10) -> _Chain:
     return _memo_chain(n_ions)
 
 
-@functools.lru_cache(maxsize=_CHAIN_MEMO_SIZE)
+@functools.lru_cache(maxsize=_CHAIN_MEMO_SIZE, typed=True)
 def _positions(n_ions: int) -> np.ndarray:
     """Read-only positions, solved once per process; N floats each, no n_cap."""
     u = equilibrium_mod.solve_equilibrium(n_ions)
@@ -294,7 +304,7 @@ def _positions(n_ions: int) -> np.ndarray:
     return u
 
 
-@functools.lru_cache(maxsize=_CHAIN_MEMO_SIZE)
+@functools.lru_cache(maxsize=_CHAIN_MEMO_SIZE, typed=True)
 def _memo_chain(n_ions: int) -> _Chain:
     """The solve behind `_solve_chain`; `__wrapped__` builds a fresh chain."""
     u = _positions(n_ions)
@@ -305,6 +315,20 @@ def _memo_chain(n_ions: int) -> _Chain:
     return _Chain(u=u, probe=probe, tensors=tensors)
 
 
+def _entries(*columns):
+    """ResonanceEntry objects from their eight field columns (lists),
+    without `__post_init__`: `_catalog`'s masks ran its checks on whole
+    columns. The first entry is built by the public constructor, which
+    puts the field names in the class's shared keys; the rest, made in bulk
+    and then set a field at a time, keep CPython's shared-key instance dict
+    (153 B by tracemalloc; made before those keys existed, 330 B)."""
+    entries = [ResonanceEntry(*[c[0] for c in columns])] if columns[1] else []
+    entries += map(object.__new__, [ResonanceEntry] * (len(columns[1]) - 1))
+    for name, column in zip(ResonanceEntry.__match_args__, columns):
+        deque(map(object.__setattr__, entries, repeat(name), column), 0)
+    return entries
+
+
 def _catalog(chain: _Chain, tol: float = MATCH_TOL):
     """Every resonance of a solved chain, keyed by its (p, i, j) =
     (p, min(m, n), max(m, n)), in (p, m, n) order.
@@ -312,33 +336,32 @@ def _catalog(chain: _Chain, tol: float = MATCH_TOL):
     Every step is one numpy expression over all (p, i <= j) in 2..N: the
     candidate alpha, the zig-zag window, the two delta signs with the
     ambiguity error, the role keys, the first-kind i == j skip and the
-    coupling floor. Only the surviving entries are built one by one.
+    coupling floor. At tol <= MATCH_TOL those masks are the checks of
+    `ResonanceEntry`, so `_entries` builds the kept columns' entries.
     """
-    span = chain.n_ions - 1
-    rows, cols = np.triu_indices(span)
-    p = np.repeat(np.arange(2, chain.n_ions + 1), rows.size)
-    i = np.tile(rows + 2, span)
-    j = np.tile(cols + 2, span)
+    r = np.arange(2, chain.n_ions + 1)
+    i, j = np.nonzero(np.less_equal.outer(r, r))  # row-major, mode 2 at 0
     mu = chain.probe.mu
-    alpha = candidate_alpha(mu[i - 1], mu[j - 1], mu[p - 1])
+    mu_i, mu_j = mu[i + 1], mu[j + 1]
+    alpha = candidate_alpha(mu_i, mu_j, mu[1:, None])
     inside = alpha < chain.alpha_crit
-    p, i, j, alpha = p[inside], i[inside], j[inside], alpha[inside]
-    second, first, residual = _match(mu[i - 1], mu[j - 1], mu[p - 1],
-                                     alpha, tol)
+    p, k = np.nonzero(inside)
+    p, i, j, alpha = p + 2, i[k] + 2, j[k] + 2, alpha[inside]
+    second, first, residual = _match(mu_i[k], mu_j[k], mu[p - 1], alpha, tol)
     m = np.where(second, j, i)
     n = np.where(second, i, j)
     coupling = chain.tensors.mode[m - 1, n - 1, p - 1]
     keep = (second | (first & (i != j))) & (np.abs(coupling) > COUPLING_FLOOR)
     kept = np.flatnonzero(keep)
     kept = kept[np.lexsort((n[kept], m[kept], p[kept]))]
-    # each kept column read once, as Python scalars, and passed in the
-    # field order of ResonanceEntry
+    # each kept column read once, as Python scalars
     p = p[kept].tolist()
     kinds = [SECOND_KIND if s else FIRST_KIND for s in second[kept].tolist()]
-    entries = map(ResonanceEntry, [chain.n_ions] * kept.size,
-                  m[kept].tolist(), n[kept].tolist(), p, kinds,
-                  alpha[kept].tolist(), coupling[kept].tolist(),
-                  residual[kept].tolist())
+    make = (_entries if tol <= MATCH_TOL
+            else functools.partial(map, ResonanceEntry))
+    entries = make([chain.n_ions] * kept.size, m[kept].tolist(),
+                   n[kept].tolist(), p, kinds, alpha[kept].tolist(),
+                   coupling[kept].tolist(), residual[kept].tolist())
     return dict(zip(zip(p, i[kept].tolist(), j[kept].tolist()), entries))
 
 

@@ -54,8 +54,9 @@ def test_accelerations_broadcast_over_snapshots(chains):
 def test_accelerations_validation():
     with pytest.raises(ValueError, match="shape"):
         classical.accelerations(np.zeros((2, 2)), 0.5)
-    with pytest.raises(ValueError, match="alpha"):
-        classical.accelerations(np.zeros((2, 3)), 0.0)
+    for alpha in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            classical.accelerations(np.zeros((2, 3)), alpha)
 
 
 def test_coincident_positions_rejected():
@@ -190,16 +191,25 @@ def test_matmul_pair_differences_match_indexed_force(pos, alphas):
 
 
 def test_kernel_einsum_is_the_one_np_einsum_runs():
-    # the kernel skips np.einsum's Python layer; it must still reach the
-    # C einsum that np.einsum returns through, with the same bits
+    # the kernels skip NumPy's Python layers; each must still reach the
+    # C function the public call returns through, with the same bits: the
+    # Verlet loop's einsum, and the Newton step's LAPACK gufunc, which
+    # np.linalg.solve calls for a 1-d right-hand side
     from numpy._core import einsumfunc
+    from numpy.linalg import _linalg
     assert classical._c_einsum is einsumfunc.c_einsum
+    assert equilibrium._solve1 is _linalg._umath_linalg.solve1
     rng = np.random.default_rng(3)
     for batch in (1, 3, 64):
         d = rng.standard_normal((15, batch, 3))
         r2 = np.empty((15, batch))
         classical._c_einsum("...k,...k->...", d, d, out=r2)
         assert np.array_equal(r2, np.einsum("...k,...k->...", d, d))
+    for n in (1, 2, 10, 40):
+        a = rng.standard_normal((n, n)) + 2.0 * n * np.eye(n)
+        b = rng.standard_normal(n)
+        got = equilibrium._solve1(a, b, signature="dd->d")
+        assert got.tobytes() == np.linalg.solve(a, b).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -532,8 +542,9 @@ def test_spectrum_validation():
         classical.spectrum(np.zeros((4, 4)), 0.1)
     with pytest.raises(ValueError, match="too short"):
         classical.spectrum(np.zeros(8), 0.1)
-    with pytest.raises(ValueError, match="dt"):
-        classical.spectrum(np.ones(32), 0.0)
+    for dt in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            classical.spectrum(np.ones(32), dt)
     with pytest.raises(ValueError, match="n_peaks"):
         classical.spectrum(np.ones(32), 0.1, n_peaks=0)
     with pytest.raises(ValueError, match="no spectral peak"):

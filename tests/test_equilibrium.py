@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,20 @@ def test_residual_rejects_coincident_ions():
 def test_invalid_ion_count():
     with pytest.raises(ValueError):
         equilibrium.solve_equilibrium(0)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0), "3", None])
+def test_non_integral_ion_count_raises(n):
+    # 2.5 used to solve a chain of three: _initial_guess ranged to 3.5
+    message = f"^n_ions must be an integer, got {re.escape(repr(n))}$"
+    with pytest.raises(ValueError, match=message):
+        equilibrium.solve_equilibrium(n)
+
+
+def test_numpy_integer_ion_count_is_accepted():
+    want = equilibrium.solve_equilibrium(5)
+    got = equilibrium.solve_equilibrium(np.int64(5))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_stalled_damping_raises(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,18 @@ def test_build_catalog_range_guard():
     # the cap is advisory and can be raised
     cat11 = resonances.build_catalog(11, n_cap=11)
     assert all(e.n_ions == 11 for e in cat11)
+
+
+def test_build_catalog_rejects_a_non_integral_length():
+    # 3.5 used to return the N = 4 catalog, memoised under the key 3.5;
+    # the memo is typed, so 4.0 raises even with N = 4 memoised
+    resonances.build_catalog(4)
+    cached = resonances._memo_chain.cache_info().currsize
+    for n in (3.5, 4.0):
+        message = f"^n_ions must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            resonances.build_catalog(n)
+    assert resonances._memo_chain.cache_info().currsize == cached
 
 
 def test_catalog_sizes(catalogs):

@@ -3,11 +3,20 @@ they replace, bit for bit.
 
 The residual, the axial matrix and the ion tensor run on the whole
 difference matrix with an infinite diagonal; the mode tensor is three
-matmuls; the catalog reads each kept column once. The references below
-are the per-pair masked gathers, the einsum with its fixed path and the
-per-element entry construction, kept here as the definition each kernel
-must reproduce to the last bit.
+matmuls; the catalog reads each kept column once and builds its entries
+without re-running their checks; the Newton step calls LAPACK's gufunc;
+the last-ion signs flip in one call; `_match` takes each square root
+once for both signs. The references below are the per-pair masked
+gathers, the einsum with its fixed path, the per-element entry
+construction through the public constructor, `np.linalg.solve`, the
+per-mode sign loop and the two `delta` calls, kept here as the
+definition each kernel must reproduce to the last bit.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionchain import coupling, equilibrium, modes, resonances
-from ionchain.errors import IonChainError
+from ionchain.errors import IonChainError, ZigZagError
 from ionchain.resonances import (COUPLING_FLOOR, FIRST_KIND, MATCH_TOL,
                                  SECOND_KIND, ResonanceEntry)
 
@@ -164,3 +173,163 @@ def test_coincident_ions_keep_their_messages(u, data):
             coupling.ion_tensor(u)
     assert str(exc.value) == ("cubic tensor construction asymmetric by nan "
                               "under index permutation (0, 2, 1)")
+
+
+def test_newton_step_matches_np_linalg_solve(monkeypatch):
+    lengths = [*range(1, 141), 200, 300]
+    got = {n: equilibrium.solve_equilibrium(n) for n in lengths}
+    monkeypatch.setattr(equilibrium, "_solve1",
+                        lambda a, b, signature: np.linalg.solve(a, b))
+    for n in lengths:
+        assert same_bits(got[n], equilibrium.solve_equilibrium(n)), n
+
+
+def reference_at_alpha(mu, vectors, alpha):
+    """`modes._at_alpha` with its per-mode sign loop."""
+    if mu.size >= 2:
+        alpha_crit = modes.critical_anisotropy(mu)
+        if alpha >= alpha_crit:
+            raise ZigZagError(alpha, alpha_crit)
+    for p in range(mu.size):
+        last = vectors[-1, p]
+        if abs(last) < 1e-12:
+            raise IonChainError(
+                f"mode {p + 1} has vanishing amplitude on the last ion; "
+                "sign convention cannot be applied"
+            )
+        if last < 0.0:
+            vectors[:, p] = -vectors[:, p]
+    gamma = modes._transverse_eigenvalues(mu, alpha)
+    return modes.ModeBasis(mu=mu, gamma=gamma, vectors=vectors, alpha=alpha)
+
+
+# last-ion amplitudes at and around the vanishing threshold 1e-12
+_LAST = [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, np.nan, -1e-300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       fraction=st.floats(0.01, 1.2),
+       last=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(_LAST)),
+                     max_size=3))
+def test_sign_flip_matches_the_per_mode_loop(n, seed, fraction, last):
+    rng = np.random.default_rng(seed)
+    mu = np.sort(rng.uniform(1.0, 50.0, n))
+    alpha = fraction * (2.0 / (mu[-1] - 1.0) if n >= 2 else 1.0)
+    vectors = rng.normal(size=(n, n))
+    for p, value in last:
+        vectors[-1, p % n] = value
+    try:
+        want = reference_at_alpha(mu, vectors.copy(), alpha)
+    except IonChainError as exc:  # ZigZagError included
+        with pytest.raises(type(exc)) as got:
+            modes._at_alpha(mu, vectors.copy(), alpha)
+        assert str(got.value) == str(exc)
+        return
+    got = modes._at_alpha(mu, vectors.copy(), alpha)
+    for name in ("mu", "gamma", "vectors"):
+        assert same_bits(getattr(got, name), getattr(want, name))
+    assert got.alpha == want.alpha
+
+
+def reference_delta(mu_m, mu_n, mu_p, alpha, sign):
+    """`resonances.delta` as `_match` called it, once per sign."""
+    positive = alpha > 0.0
+    if not np.all(positive):
+        raise ValueError(f"alpha must be positive, got "
+                         f"{resonances._first_failing(alpha, positive)}")
+    gm = modes._transverse_eigenvalues(mu_m, alpha)
+    gn = modes._transverse_eigenvalues(mu_n, alpha)
+    linear = (gm > 0.0) & (gn > 0.0)
+    if not np.all(linear):
+        raise ValueError(
+            f"transverse eigenvalue not positive at "
+            f"alpha={resonances._first_failing(alpha, linear):.6g}; "
+            "outside the linear regime"
+        )
+    return gm**0.5 + sign * gn**0.5 - mu_p**0.5
+
+
+def reference_match(mu_m, mu_n, mu_p, alpha, tol):
+    d_plus = reference_delta(mu_m, mu_n, mu_p, alpha, +1)
+    d_minus = reference_delta(mu_m, mu_n, mu_p, alpha, -1)
+    plus_ok = abs(d_plus) < tol
+    minus_ok = abs(d_minus) < tol
+    unambiguous = np.logical_not(plus_ok & minus_ok)
+    if not np.all(unambiguous):
+        raise ValueError(
+            f"ambiguous resonance: both conditions vanish at "
+            f"alpha={resonances._first_failing(alpha, unambiguous):.9g}"
+        )
+    return plus_ok, minus_ok, np.where(plus_ok, d_plus, d_minus)
+
+
+def _outcome(match, *args):
+    try:
+        return match(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+       alpha_scale=st.sampled_from([1e-3, 0.1, 0.5, 3.0]),
+       bad_alpha=st.sampled_from([None, 0.0, -0.1, np.nan]),
+       tol=st.sampled_from([MATCH_TOL, 0.05, 1.0, 10.0]),
+       scalar=st.booleans())
+def test_match_matches_the_two_delta_calls(size, seed, alpha_scale,
+                                           bad_alpha, tol, scalar):
+    rng = np.random.default_rng(seed)
+    mu_m, mu_n, mu_p = rng.uniform(1.0, 30.0, (3, max(size, 1)))
+    alpha = rng.uniform(0.0, alpha_scale, mu_m.size)
+    if bad_alpha is not None:
+        alpha[rng.integers(alpha.size)] = bad_alpha
+    # candidates at the exact resonance of some triples, so both masks
+    # and the ambiguity error are reached
+    exact = rng.random(mu_m.size) < 0.5
+    alpha[exact] = resonances.candidate_alpha(mu_m, mu_n, mu_p)[exact]
+    args = [mu_m, mu_n, mu_p, alpha]
+    if scalar:
+        args = [float(a[0]) for a in args]
+    elif size == 0:
+        args = [a[:0] for a in args]
+    want = _outcome(reference_match, *args, tol)
+    got = _outcome(resonances._match, *args, tol)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert same_bits(np.asarray(g), np.asarray(w))
+
+
+_ENTRY_MEMORY = """\
+import sys
+import tracemalloc
+from ionchain import resonances
+k = 400
+columns = ([10] * k, [3] * k, [2] * k, [4] * k, ["second"] * k,
+           [0.3] * k, [0.5] * k, [0.0] * k)
+make = {"private": resonances._entries,
+        "public": lambda *c: list(map(resonances.ResonanceEntry, *c))}
+tracemalloc.start()
+entries = make[sys.argv[1]](*columns)
+print((tracemalloc.get_traced_memory()[0] - sys.getsizeof(entries)) / k)
+"""
+
+
+def test_entries_keep_the_shared_key_instance_dict():
+    # each constructor in a fresh process, where its entries are the
+    # class's first instances: objects made before the field names are in
+    # the class's shared keys would each get a dict of their own
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    per_entry = {}
+    for name in ("private", "public"):
+        proc = subprocess.run([sys.executable, "-c", _ENTRY_MEMORY, name],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        per_entry[name] = float(proc.stdout)
+    # 149 B each on CPython 3.11; a dict of its own would add about 170 B
+    assert per_entry["private"] < per_entry["public"] + 16.0, per_entry
