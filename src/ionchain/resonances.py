@@ -23,9 +23,7 @@ formula, and mu is the chain's one axial spectrum (see `_Chain`).
 """
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -315,20 +313,6 @@ def _memo_chain(n_ions: int) -> _Chain:
     return _Chain(u=u, probe=probe, tensors=tensors)
 
 
-def _entries(*columns):
-    """ResonanceEntry objects from their eight field columns (lists),
-    without `__post_init__`: `_catalog`'s masks ran its checks on whole
-    columns. The first entry is built by the public constructor, which
-    puts the field names in the class's shared keys; the rest, made in bulk
-    and then set a field at a time, keep CPython's shared-key instance dict
-    (153 B by tracemalloc; made before those keys existed, 330 B)."""
-    entries = [ResonanceEntry(*[c[0] for c in columns])] if columns[1] else []
-    entries += map(object.__new__, [ResonanceEntry] * (len(columns[1]) - 1))
-    for name, column in zip(ResonanceEntry.__match_args__, columns):
-        deque(map(object.__setattr__, entries, repeat(name), column), 0)
-    return entries
-
-
 def _catalog(chain: _Chain, tol: float = MATCH_TOL):
     """Every resonance of a solved chain, keyed by its (p, i, j) =
     (p, min(m, n), max(m, n)), in (p, m, n) order.
@@ -336,8 +320,7 @@ def _catalog(chain: _Chain, tol: float = MATCH_TOL):
     Every step is one numpy expression over all (p, i <= j) in 2..N: the
     candidate alpha, the zig-zag window, the two delta signs with the
     ambiguity error, the role keys, the first-kind i == j skip and the
-    coupling floor. At tol <= MATCH_TOL those masks are the checks of
-    `ResonanceEntry`, so `_entries` builds the kept columns' entries.
+    coupling floor. Only the surviving entries are built one by one.
     """
     r = np.arange(2, chain.n_ions + 1)
     i, j = np.nonzero(np.less_equal.outer(r, r))  # row-major, mode 2 at 0
@@ -354,14 +337,14 @@ def _catalog(chain: _Chain, tol: float = MATCH_TOL):
     keep = (second | (first & (i != j))) & (np.abs(coupling) > COUPLING_FLOOR)
     kept = np.flatnonzero(keep)
     kept = kept[np.lexsort((n[kept], m[kept], p[kept]))]
-    # each kept column read once, as Python scalars
+    # each kept column read once, as Python scalars, and passed in the
+    # field order of ResonanceEntry
     p = p[kept].tolist()
     kinds = [SECOND_KIND if s else FIRST_KIND for s in second[kept].tolist()]
-    make = (_entries if tol <= MATCH_TOL
-            else functools.partial(map, ResonanceEntry))
-    entries = make([chain.n_ions] * kept.size, m[kept].tolist(),
-                   n[kept].tolist(), p, kinds, alpha[kept].tolist(),
-                   coupling[kept].tolist(), residual[kept].tolist())
+    entries = map(ResonanceEntry, [chain.n_ions] * kept.size,
+                  m[kept].tolist(), n[kept].tolist(), p, kinds,
+                  alpha[kept].tolist(), coupling[kept].tolist(),
+                  residual[kept].tolist())
     return dict(zip(zip(p, i[kept].tolist(), j[kept].tolist()), entries))
 
 

@@ -3,20 +3,14 @@ they replace, bit for bit.
 
 The residual, the axial matrix and the ion tensor run on the whole
 difference matrix with an infinite diagonal; the mode tensor is three
-matmuls; the catalog reads each kept column once and builds its entries
-without re-running their checks; the Newton step calls LAPACK's gufunc;
-the last-ion signs flip in one call; `_match` takes each square root
-once for both signs. The references below are the per-pair masked
-gathers, the einsum with its fixed path, the per-element entry
-construction through the public constructor, `np.linalg.solve`, the
-per-mode sign loop and the two `delta` calls, kept here as the
-definition each kernel must reproduce to the last bit.
+matmuls; the catalog reads each kept column once; the Newton step calls
+LAPACK's gufunc; the last-ion signs flip in one call; `_match` takes each
+square root once for both signs. The references below are the per-pair
+masked gathers, the einsum with its fixed path, the per-element entry
+construction, `np.linalg.solve`, the per-mode sign loop and the two
+`delta` calls, kept here as the definition each kernel must reproduce to
+the last bit.
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +178,24 @@ def test_newton_step_matches_np_linalg_solve(monkeypatch):
         assert same_bits(got[n], equilibrium.solve_equilibrium(n)), n
 
 
+def test_newton_jacobians_are_strictly_diagonally_dominant(monkeypatch):
+    # the step skips np.linalg.solve's singular-matrix check: a Jacobian
+    # whose diagonal beats its row's off-diagonal sum cannot be singular
+    solve1, calls = equilibrium._solve1, []
+
+    def checked(jacobian, res, signature):
+        diag = np.diagonal(jacobian)
+        off = np.add.reduce(np.abs(jacobian - np.diag(diag)), 1)
+        assert np.all(diag > off), (jacobian.shape, np.min(diag - off))
+        calls.append(jacobian.shape[0])
+        return solve1(jacobian, res, signature=signature)
+
+    monkeypatch.setattr(equilibrium, "_solve1", checked)
+    for n in [*range(4, 141), 200, 300]:  # N <= 3 start at equilibrium
+        equilibrium.solve_equilibrium(n)
+        assert calls[-1] == n
+
+
 def reference_at_alpha(mu, vectors, alpha):
     """`modes._at_alpha` with its per-mode sign loop."""
     if mu.size >= 2:
@@ -302,34 +314,3 @@ def test_match_matches_the_two_delta_calls(size, seed, alpha_scale,
     for g, w in zip(got, want):
         assert type(g) is type(w)
         assert same_bits(np.asarray(g), np.asarray(w))
-
-
-_ENTRY_MEMORY = """\
-import sys
-import tracemalloc
-from ionchain import resonances
-k = 400
-columns = ([10] * k, [3] * k, [2] * k, [4] * k, ["second"] * k,
-           [0.3] * k, [0.5] * k, [0.0] * k)
-make = {"private": resonances._entries,
-        "public": lambda *c: list(map(resonances.ResonanceEntry, *c))}
-tracemalloc.start()
-entries = make[sys.argv[1]](*columns)
-print((tracemalloc.get_traced_memory()[0] - sys.getsizeof(entries)) / k)
-"""
-
-
-def test_entries_keep_the_shared_key_instance_dict():
-    # each constructor in a fresh process, where its entries are the
-    # class's first instances: objects made before the field names are in
-    # the class's shared keys would each get a dict of their own
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    per_entry = {}
-    for name in ("private", "public"):
-        proc = subprocess.run([sys.executable, "-c", _ENTRY_MEMORY, name],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        per_entry[name] = float(proc.stdout)
-    # 149 B each on CPython 3.11; a dict of its own would add about 170 B
-    assert per_entry["private"] < per_entry["public"] + 16.0, per_entry
