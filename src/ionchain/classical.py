@@ -11,10 +11,12 @@ mode-energy bookkeeping below relies on.  One loop (`_sample_blocks`)
 integrates a batch of trajectories that differ only in alpha (a
 per-member stiffness), so a resonant run and its detuned comparisons
 advance together, and hands the samples out in blocks, which
-`integrate_batch` stores and the `classical` command reduces as they
-arrive; a single trajectory is a batch of one.
+`integrate_batch` stores and `_reduce_blocks` reduces as they arrive
+(for the `classical` command); a single trajectory is a batch of one.
 
-The loop holds the state ion-major, positions and velocities of shape
+Every pair difference is one matmul with the difference matrix of
+`_pairs`: in the force, the energies and the coincidence check.  The
+loop holds the state ion-major, positions and velocities of shape
 (n, B, 3), so the pair differences of the whole batch are one matmul on
 an (n, 3B) view.  One force kernel (`_force_kernel`) serves the loop and
 `accelerations`, which moves the ion axis of its input first.  The
@@ -138,7 +140,7 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     from ion j (-1); its transpose, stored contiguous, takes the pair
     differences r_i - r_j in one matmul.  Every product is +-1 or 0 times
     a coordinate, so for finite positions each difference is exactly the
-    one a direct subtraction gives.
+    one a direct subtraction gives, in any summation order or layout.
     """
     iu, ju = np.triu_indices(n, k=1)
     cols = np.arange(iu.size)
@@ -146,21 +148,6 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     scatter[iu, cols] = 1.0
     scatter[ju, cols] = -1.0
     return scatter, np.ascontiguousarray(scatter.T)
-
-
-def _separations(pos: np.ndarray,
-                 diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair separation vectors r_i - r_j and their squared lengths.
-
-    Over leading axes the pair axis is laid out outermost in memory, as
-    indexing pos[..., i, :] - pos[..., j, :] lays it out.  The pair sums
-    of the energies then keep their summation order, and the printed
-    energies their last digits.  The force kernel forms the same
-    differences as a plain matmul, which is faster per call and equal
-    entry by entry.
-    """
-    d = np.moveaxis(np.tensordot(diff, pos, axes=(1, -2)), 0, -2)
-    return d, np.einsum("...pk,...pk->...p", d, d)
 
 
 def _stiffness(alpha: float) -> np.ndarray:
@@ -176,12 +163,11 @@ def _force_kernel(pos: np.ndarray, out: np.ndarray, stiff: np.ndarray):
     out, through work arrays allocated here once.
 
     The pair differences are one 2-D matmul over an (n, 3 * prod(lead))
-    view of pos; each entry sums +-1 times two coordinates and exact
-    zeros, so any summation order gives the same bits.  The scatter back
-    onto the ions sums n - 1 nonzero terms in an order BLAS picks by the
-    product's shape (a (pairs, 3B) right-hand side rounds differently
-    from B (pairs, 3) ones), so it is one stacked matmul over strided
-    per-member views, each shaped as a single trajectory's product.
+    view of pos.  The scatter back onto the ions sums n - 1 nonzero
+    terms in an order BLAS picks by the product's shape (a (pairs, 3B)
+    right-hand side rounds differently from B (pairs, 3) ones), so it is
+    one stacked matmul over strided per-member views, each shaped as a
+    single trajectory's product.
     Coincident ions give NaN rather than an error; callers either check
     first or catch the NaN downstream.
     """
@@ -229,8 +215,8 @@ def accelerations(positions: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError("positions must have shape (..., n, 3)")
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    n = pos.shape[-2]
-    if np.any(_separations(pos, _pairs(n)[1])[1] == 0.0):
+    d = _pairs(pos.shape[-2])[1] @ pos
+    if np.any(np.einsum("...pk,...pk->...p", d, d) == 0.0):
         raise ValueError("coincident ion positions")
     # the kernel works ion-major: ions first, then the leading axes
     ion_major = np.ascontiguousarray(np.moveaxis(pos, -2, 0))
@@ -239,11 +225,15 @@ def accelerations(positions: np.ndarray, alpha: float) -> np.ndarray:
     return np.moveaxis(acc, 0, -2)
 
 
-def _reference_pairs(ref: np.ndarray) -> tuple:
-    """The fixed geometry of ref (n, 3) that `_potential_offset` reads:
-    ref, the pair-difference matrix and ref's pair separations."""
-    diff = _pairs(ref.shape[-2])[1]
-    d0, r02 = _separations(ref, diff)
+def _reference_pairs(u: np.ndarray) -> tuple:
+    """The chain at rest on the equilibrium u, as `_potential_offset`
+    reads it: its positions (n, 3), the pair-difference matrix and its
+    pair separations."""
+    ref = np.zeros((u.size, 3))
+    ref[:, 2] = u
+    diff = _pairs(u.size)[1]
+    d0 = diff @ ref
+    r02 = np.einsum("...pk,...pk->...p", d0, d0)
     return ref, diff, d0, r02, np.sqrt(r02)
 
 
@@ -251,7 +241,7 @@ def _potential_offset(pos: np.ndarray, reference: tuple,
                       alpha: float) -> np.ndarray:
     """V(pos) - V(ref) evaluated without subtracting two large potentials.
 
-    pos has shape (..., n, 3), reference is `_reference_pairs(ref)` and
+    pos has shape (..., n, 3), reference is `_reference_pairs(u)` and
     the result has shape (...,).  A naive difference loses every digit
     below V(ref) * eps, which swamps the tiny energies of small-amplitude
     runs.  Difference-of-squares forms keep the roundoff scaled to the
@@ -262,13 +252,14 @@ def _potential_offset(pos: np.ndarray, reference: tuple,
     trap = 0.5 * np.sum(dp * (pos + ref) * _stiffness(alpha), axis=(-2, -1))
     # pair separations built from per-ion displacements, so the change in
     # r^2 never touches the O(1) separation roundoff
-    dz, dz2 = _separations(dp, diff)
+    dz = diff @ dp
     # r^2 - r0^2 = 2 d0.dz + |dz|^2
-    cross = 2.0 * np.einsum("pk,...pk->...p", d0, dz) + dz2
+    cross = (2.0 * np.einsum("pk,...pk->...p", d0, dz)
+             + np.einsum("...pk,...pk->...p", dz, dz))
     r = np.sqrt(r02 + cross)
     # 1/r - 1/r0 = (r0^2 - r^2) / (r * r0 * (r + r0)), summed over the
-    # pairs as a left fold: `sum` folds the pair-outermost layout of two
-    # or more samples but sums one sample's contiguous row pairwise
+    # pairs as a left fold, the order the printed energies' last digits
+    # follow; `sum` would sum each sample's contiguous row pairwise
     terms = -cross / (r * r0 * (r + r0))
     if not terms.shape[-1]:
         return trap + 0.0
@@ -357,7 +348,7 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
         for b in range(len(bases)):
             traj_pos[b][rows], traj_vel[b][rows] = pos[:, :, b], vel[:, :, b]
     # the chain at rest, which the energies are measured from
-    reference = _reference_pairs(_assemble_initial(u, bases[0], None, None)[0])
+    reference = _reference_pairs(u)
     out = []
     for basis, member_pos, member_vel in zip(bases, traj_pos, traj_vel):
         energy = np.empty(samples)
@@ -368,6 +359,39 @@ def integrate_batch(u: np.ndarray, bases: list[ModeBasis],
         out.append(Trajectory(times=times, positions=member_pos,
                               velocities=member_vel, total_energy=energy))
     return out
+
+
+def _reduce_blocks(u, bases, pair, *run) -> tuple:
+    """Integrate a batch (`_sample_blocks`), reducing each block as it
+    arrives to the first member's mode coordinates (z, x, y; samples, n)
+    and energy table (t, z, x and y mode energies, total, drift) and to
+    each member's pair gain, the largest rise of the transverse pair's
+    mode energy.  Blocks are projected from contiguous per-member copies,
+    as stored runs are, in the row blocks `mode_projection` uses, so the
+    values are those of `mode_projection` over `integrate_batch`, bit for
+    bit.  The `classical` command tabulates these."""
+    times, blocks = _sample_blocks(u, bases, *run)
+    samples, n = times.size, u.size
+    coords = np.empty((3, samples, n))   # z, x, y
+    table = np.empty((samples, 3 * n + 3))
+    table[:, 0] = times
+    series = [np.empty(samples) for _ in bases]
+    reference = _reference_pairs(u)
+    for start, pos, vel in blocks:
+        rows = slice(start, start + len(pos))
+        for b, basis in enumerate(bases):
+            member = pos[:, :, b].copy(), vel[:, :, b].copy()
+            proj = _project(*member, basis, u)
+            series[b][rows] = sum(proj.energies[d][:, p - 1]
+                                  for d in ("x", "y") for p in pair)
+            if not b:
+                coords[:, rows] = [proj.coordinates[d] for d in "zxy"]
+                table[rows, 1:-2] = np.hstack(
+                    [proj.energies[d] for d in "zxy"])
+                table[rows, -2] = _energy(*member, reference, basis.alpha)
+    energy = table[:, -2]
+    table[:, -1] = (energy - energy[0]) / max(abs(energy[0]), 1e-300)
+    return coords, table, [float(np.max(s - s[0])) for s in series]
 
 
 def _sample_blocks(u: np.ndarray, bases: list[ModeBasis], displacements,

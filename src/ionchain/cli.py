@@ -310,7 +310,10 @@ def _find_entry(chain, m: int, n: int, p: int):
 
 
 def _parse_mode_map(text: str, value_type=float) -> tuple[str, dict]:
-    """'z5:0.01,x6:1e-6' -> (the text, {("z",5): 0.01, ("x",6): 1e-6})."""
+    """'z5:0.01,x6:1e-6' -> (the text, {("z",5): 0.01, ("x",6): 1e-6}).
+
+    A repeated mode and a value that is not finite fail, naming the mode.
+    """
     out = {}
     for part in text.split(","):
         part = part.strip()
@@ -323,7 +326,14 @@ def _parse_mode_map(text: str, value_type=float) -> tuple[str, dict]:
             value = value_type(match.group(3))
         except ValueError:
             raise ValueError(f"bad amplitude value in {part!r}")
-        out[(match.group(1), int(match.group(2)))] = value
+        mode = (match.group(1), int(match.group(2)))
+        name = f"{mode[0]}{mode[1]}"
+        if mode in out:
+            raise ValueError(f"mode {name} repeated in {text!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"amplitude of mode {name} must be finite, "
+                             f"got {match.group(3)}")
+        out[mode] = value
     return text, out
 
 
@@ -580,48 +590,14 @@ def cmd_simulate(args) -> int:
                               "live_states": live_states})
 
 
-def _reduce_blocks(u, bases, pair, *run) -> tuple:
-    """Integrate a batch (`classical._sample_blocks`), reducing each block
-    as it arrives to the first member's mode coordinates (z, x, y;
-    samples, n) and energy table (t, z, x and y mode energies, total,
-    drift) and to each member's pair gain, the largest rise of the
-    transverse pair's mode energy.  Blocks are projected from contiguous
-    per-member copies, as stored runs are, in the row blocks
-    `mode_projection` uses, so the values are those of `mode_projection`
-    over `integrate_batch`, bit for bit."""
-    times, blocks = classical_mod._sample_blocks(u, bases, *run)
-    samples, n = times.size, u.size
-    coords = np.empty((3, samples, n))   # z, x, y
-    table = np.empty((samples, 3 * n + 3))
-    table[:, 0] = times
-    series = [np.empty(samples) for _ in bases]
-    reference = classical_mod._reference_pairs(  # the chain at rest
-        classical_mod._assemble_initial(u, bases[0], None, None)[0])
-    for start, pos, vel in blocks:
-        rows = slice(start, start + len(pos))
-        for b, basis in enumerate(bases):
-            member = pos[:, :, b].copy(), vel[:, :, b].copy()
-            proj = classical_mod._project(*member, basis, u)
-            series[b][rows] = sum(proj.energies[d][:, p - 1]
-                                  for d in ("x", "y") for p in pair)
-            if not b:
-                coords[:, rows] = [proj.coordinates[d] for d in "zxy"]
-                table[rows, 1:-2] = np.hstack(
-                    [proj.energies[d] for d in "zxy"])
-                table[rows, -2] = classical_mod._energy(
-                    *member, reference, basis.alpha)
-    energy = table[:, -2]
-    table[:, -1] = (energy - energy[0]) / max(abs(energy[0]), 1e-300)
-    return coords, table, [float(np.max(s - s[0])) for s in series]
-
-
 def cmd_classical(args) -> int:
     """Integrate the configured run and tabulate its energies and spectra.
 
     With `detune`, the resonant and detuned runs integrate as one batch
     and each adds one row to the transfer table. Only what the tables
-    need outlives a sample block (see `_reduce_blocks`); `Artifact`
-    formats and writes the energy table, one float array, in row blocks.
+    need outlives a sample block (see `classical._reduce_blocks`);
+    `Artifact` formats and writes the energy table, one float array, in
+    row blocks.
     """
     cfg = _parse_config(args.config, _CONFIGS["classical"])
     n_ions, dt, t_final, stride, detune = (
@@ -662,7 +638,7 @@ def cmd_classical(args) -> int:
     else:
         u = chain.u
         bases = [chain.basis_at(a) for a in alphas]
-    coords, energy_rows, member_gains = _reduce_blocks(
+    coords, energy_rows, member_gains = classical_mod._reduce_blocks(
         u, bases, pair, cfg["displacement"][1], cfg["velocity"][1],
         dt, t_final, stride)
     gains = {label: member_gains[alphas.index(run_alpha)]

@@ -411,7 +411,7 @@ class HamiltonianMatrix:
 
     def _find_orbits(self, b: int):
         basis = self.basis
-        idx, entries = self._block(b)
+        idx, entries, r, c = self._block(b)
         if idx.size < _SPLIT_MIN_STATES:
             return None
         try:
@@ -427,12 +427,8 @@ class HamiltonianMatrix:
         # when its swapped states sorted are the same indices
         if not np.array_equal(np.sort(swapped), idx):
             return None
-        dim = basis.dimension
-        local = np.empty(dim, dtype=np.intp)
-        local[idx] = np.arange(idx.size)
         values = self._values[entries]
-        swapped_keys = (swapped[local[self._rows[entries]]] * dim
-                        + swapped[local[self._cols[entries]]])
+        swapped_keys = swapped[r] * basis.dimension + swapped[c]
         at = np.minimum(np.searchsorted(self._keys, swapped_keys),
                         self._keys.size - 1)
         mirrored = np.where(self._keys[at] == swapped_keys, self._values[at], 0.0)
@@ -443,12 +439,15 @@ class HamiltonianMatrix:
         return idx[first], swapped[first]
 
     def _block(self, b: int) -> tuple:
-        """(states, entries) of block b: its sorted basis indices and the
-        positions of its stored entries."""
+        """(states, entries, rows, cols) of block b: its sorted basis
+        indices, the positions of its stored entries and their rows and
+        columns as positions in states."""
         order, starts = self._blocks
         ends, entry_order, bounds = self._block_entries
-        return (order[starts[b]:ends[b]],
-                entry_order[bounds[b]:bounds[b + 1]])
+        idx = order[starts[b]:ends[b]]
+        entries = entry_order[bounds[b]:bounds[b + 1]]
+        return (idx, entries, np.searchsorted(idx, self._rows[entries]),
+                np.searchsorted(idx, self._cols[entries]))
 
     def _eigensystem(self, b: int, part=None) -> tuple:
         """(states, eigenvalues, eigenvectors) of block b or of one part.
@@ -465,10 +464,7 @@ class HamiltonianMatrix:
         """
         key = (b, part)
         if key not in self._diagonalized:
-            idx, entries = self._block(b)
-            local = np.empty(self.basis.dimension, dtype=np.intp)
-            local[idx] = np.arange(idx.size)
-            r, c = local[self._rows[entries]], local[self._cols[entries]]
+            idx, entries, r, c = self._block(b)
             values = self._values[entries]
             if part is None:
                 states, size, flat = idx, idx.size, r * idx.size + c
@@ -481,7 +477,8 @@ class HamiltonianMatrix:
                 # per block state: its orbit's place in the part, its sign
                 # in the orbit vector (0 outside the part) and whether the
                 # orbit is a pair (weight 1/sqrt(2))
-                at_rep, at_partner = local[reps], local[partners]
+                at_rep = np.searchsorted(idx, reps)
+                at_partner = np.searchsorted(idx, partners)
                 orbit = np.empty(idx.size, dtype=np.intp)
                 orbit[at_partner] = orbit[at_rep] = np.cumsum(keep) - 1
                 sign = np.zeros(idx.size)

@@ -120,11 +120,11 @@ def test_pair_kernel_matches_reference(pos, alpha):
 @settings(max_examples=40, deadline=None)
 @given(disp=_snapshots(1e-3), alpha=st.floats(0.01, 1.0))
 def test_vectorised_offset_matches_per_sample(disp, alpha):
-    ref = np.zeros(disp.shape[1:])
-    ref[:, 2] = equilibrium.solve_equilibrium(disp.shape[1])
+    reference = classical._reference_pairs(
+        equilibrium.solve_equilibrium(disp.shape[1]))
+    ref = reference[0]
     pos = ref + disp
-    got = classical._potential_offset(pos, classical._reference_pairs(ref),
-                                      alpha)
+    got = classical._potential_offset(pos, reference, alpha)
     expected = [_reference_offset(p, ref, alpha) for p in pos]
     assert got.shape == (pos.shape[0],)
     assert np.max(np.abs(got - expected)) <= 1e-15
@@ -296,18 +296,136 @@ def test_projection_blocks_change_no_bit(chains, monkeypatch):
             assert np.array_equal(got.energies[d], whole.energies[d])
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), batch=st.integers(1, 4), stride=st.integers(1, 7),
+       block=st.sampled_from([1, 2, 3, 7, 64]),
+       steps=st.integers(20, 90),
+       amps=st.lists(st.floats(-0.02, 0.02), min_size=4, max_size=4))
+def test_reduced_blocks_equal_the_stored_runs(chains, n, batch, stride, block,
+                                              steps, amps):
+    u = chains[n]
+    alpha_crit = modes.critical_anisotropy(
+        np.linalg.eigvalsh(modes.axial_matrix(u)))
+    bases = [modes.mode_basis(u, f * alpha_crit)
+             for f in (0.6, 0.45, 0.8, 0.3)[:batch]]
+    run = ({("z", n): amps[0], ("x", 1): amps[1], ("y", n): amps[2]},
+           {("x", n): amps[3]}, 1e-2, steps * 1e-2, stride)
+    pair = sorted({n, n - 1})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classical, "_SAMPLE_BLOCK", block)
+        coords, table, gains = classical._reduce_blocks(u, bases, pair, *run)
+    trajs = classical.integrate_batch(u, bases, *run)
+    projs = [classical.mode_projection(t, b, u) for t, b in zip(trajs, bases)]
+    for gain, proj in zip(gains, projs, strict=True):
+        series = sum(proj.energies[d][:, p - 1] for d in "xy" for p in pair)
+        assert gain == float(np.max(series - series[0]))
+    first = trajs[0]
+    assert np.array_equal(table[:, 0], first.times)
+    for k, d in enumerate("zxy"):
+        assert np.array_equal(coords[k], projs[0].coordinates[d])
+        assert np.array_equal(table[:, 1 + k * n:1 + (k + 1) * n],
+                              projs[0].energies[d])
+    assert np.array_equal(table[:, -2], first.total_energy)
+    assert np.array_equal(
+        table[:, -1], (first.total_energy - first.total_energy[0])
+        / max(abs(first.total_energy[0]), 1e-300))
+    assert classical._windowed_drift(table[:, -2]) == first.energy_drift()
+
+
+def test_long_run_projection_is_independent_of_run_length():
+    # at N = 17-20 OpenBLAS sums a product of 5001 or more rows in another
+    # order than a 64-row one; the stored run is projected in the streamed
+    # run's blocks, so every sample agrees to the bit
+    n = 18
+    u = equilibrium.solve_equilibrium(n)
+    alpha = 0.5 * modes.critical_anisotropy(
+        np.linalg.eigvalsh(modes.axial_matrix(u)))
+    basis = modes.mode_basis(u, alpha)
+    run = ({("z", n): 0.01, ("z", 2): 0.02, ("x", 3): 0.01, ("y", n): -0.01},
+           {("x", n): 0.01}, 1e-2, 50.0, 1)
+    traj = classical.integrate(u, basis, *run)
+    assert traj.n_samples == 5001
+    proj = classical.mode_projection(traj, basis, u)
+    coords, table, _ = classical._reduce_blocks(u, [basis], [n, n - 1], *run)
+    for k, d in enumerate("zxy"):
+        assert np.array_equal(coords[k], proj.coordinates[d])
+        assert np.array_equal(table[:, 1 + k * n:1 + (k + 1) * n],
+                              proj.energies[d])
+
+
 def test_one_sample_offset_equals_its_batch_row(chains):
     # the pair sum folds left in every layout, where `sum` would sum a
     # lone sample's contiguous row pairwise
     rng = np.random.default_rng(5)
-    ref = np.zeros((8, 3))
-    ref[:, 2] = chains[8]
-    pos = ref + 0.05 * rng.standard_normal((40, 8, 3))
-    reference = classical._reference_pairs(ref)
+    reference = classical._reference_pairs(chains[8])
+    pos = reference[0] + 0.05 * rng.standard_normal((40, 8, 3))
     batch = classical._potential_offset(pos, reference, 0.05)
     for k in range(pos.shape[0]):
         assert classical._potential_offset(pos[k:k + 1], reference,
                                            0.05)[0] == batch[k]
+
+
+# The pair geometry the energies and the coincidence check used before they
+# took the force kernel's matmul: pair differences by `tensordot`, their
+# pair axis moved outermost in memory.  Kept as the definition the energies
+# must reproduce to the last bit; the offset test above compares at 1e-15.
+
+def _tensordot_separations(pos, diff):
+    d = np.moveaxis(np.tensordot(diff, pos, axes=(1, -2)), 0, -2)
+    return d, np.einsum("...pk,...pk->...p", d, d)
+
+
+def _tensordot_offset(pos, ref, alpha):
+    diff = classical._pairs(ref.shape[0])[1]
+    d0, r02 = _tensordot_separations(ref, diff)
+    r0 = np.sqrt(r02)
+    dp = pos - ref
+    trap = 0.5 * np.sum(dp * (pos + ref) * classical._stiffness(alpha),
+                        axis=(-2, -1))
+    dz, dz2 = _tensordot_separations(dp, diff)
+    cross = 2.0 * np.einsum("pk,...pk->...p", d0, dz) + dz2
+    r = np.sqrt(r02 + cross)
+    terms = -cross / (r * r0 * (r + r0))
+    if not terms.shape[-1]:
+        return trap + 0.0
+    return trap + np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 13),
+       lead=st.sampled_from([(), (1,), (2,), (64,), (512,), (3, 5)]),
+       scale=st.sampled_from([1e-7, 1e-3, 0.1]),
+       alpha=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_pair_geometry_matches_the_tensordot_layout(n, lead, scale, alpha,
+                                                    seed):
+    u = equilibrium.solve_equilibrium(n)
+    reference = classical._reference_pairs(u)
+    ref, diff, d0, r02, r0 = reference
+    assert _same_bits(ref[:, 2], u) and not ref[:, :2].any()
+    old_d0, old_r02 = _tensordot_separations(ref, diff)
+    assert _same_bits(d0, old_d0) and _same_bits(r02, old_r02)
+    assert _same_bits(r0, np.sqrt(old_r02))
+    rng = np.random.default_rng(seed)
+    pos = ref + scale * rng.standard_normal(lead + (n, 3))
+    assert _same_bits(classical._potential_offset(pos, reference, alpha),
+                      _tensordot_offset(pos, ref, alpha))
+    # the coincidence check: raised exactly where the old r^2 has a zero,
+    # also for a separation whose square underflows (1e-170)
+    if n > 1:
+        first = (0,) * len(lead)
+        pos[first + (0,)] = 0.0
+        pos[first + (n - 1,)] = rng.choice([0.0, 1e-170, 1e-100])
+    coincident = np.any(_tensordot_separations(pos, diff)[1] == 0.0)
+    if coincident:
+        with pytest.raises(ValueError, match="^coincident ion positions$"):
+            classical.accelerations(pos, alpha)
+    else:
+        classical.accelerations(pos, alpha)
 
 
 # --- trajectory container -----------------------------------------------

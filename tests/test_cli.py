@@ -1151,63 +1151,6 @@ def test_classical_transfer_wiring(tmp_path, capsys):
         assert float(row["resonant_over_this"]) == gains[0] / gain
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(2, 6), batch=st.integers(1, 4), stride=st.integers(1, 7),
-       block=st.sampled_from([1, 2, 3, 7, 64]),
-       steps=st.integers(20, 90),
-       amps=st.lists(st.floats(-0.02, 0.02), min_size=4, max_size=4))
-def test_reduced_blocks_equal_the_stored_runs(chains, n, batch, stride, block,
-                                              steps, amps):
-    u = chains[n]
-    alpha_crit = modes.critical_anisotropy(
-        np.linalg.eigvalsh(modes.axial_matrix(u)))
-    bases = [modes.mode_basis(u, f * alpha_crit)
-             for f in (0.6, 0.45, 0.8, 0.3)[:batch]]
-    run = ({("z", n): amps[0], ("x", 1): amps[1], ("y", n): amps[2]},
-           {("x", n): amps[3]}, 1e-2, steps * 1e-2, stride)
-    pair = sorted({n, n - 1})
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(classical, "_SAMPLE_BLOCK", block)
-        coords, table, gains = cli._reduce_blocks(u, bases, pair, *run)
-    trajs = classical.integrate_batch(u, bases, *run)
-    projs = [classical.mode_projection(t, b, u) for t, b in zip(trajs, bases)]
-    for gain, proj in zip(gains, projs, strict=True):
-        series = sum(proj.energies[d][:, p - 1] for d in "xy" for p in pair)
-        assert gain == float(np.max(series - series[0]))
-    first = trajs[0]
-    assert np.array_equal(table[:, 0], first.times)
-    for k, d in enumerate("zxy"):
-        assert np.array_equal(coords[k], projs[0].coordinates[d])
-        assert np.array_equal(table[:, 1 + k * n:1 + (k + 1) * n],
-                              projs[0].energies[d])
-    assert np.array_equal(table[:, -2], first.total_energy)
-    assert np.array_equal(
-        table[:, -1], (first.total_energy - first.total_energy[0])
-        / max(abs(first.total_energy[0]), 1e-300))
-    assert classical._windowed_drift(table[:, -2]) == first.energy_drift()
-
-
-def test_long_run_projection_is_independent_of_run_length():
-    # at N = 17-20 OpenBLAS sums a product of 5001 or more rows in another
-    # order than a 64-row one; the stored run is projected in the streamed
-    # run's blocks, so every sample agrees to the bit
-    n = 18
-    u = equilibrium.solve_equilibrium(n)
-    alpha = 0.5 * modes.critical_anisotropy(
-        np.linalg.eigvalsh(modes.axial_matrix(u)))
-    basis = modes.mode_basis(u, alpha)
-    run = ({("z", n): 0.01, ("z", 2): 0.02, ("x", 3): 0.01, ("y", n): -0.01},
-           {("x", n): 0.01}, 1e-2, 50.0, 1)
-    traj = classical.integrate(u, basis, *run)
-    assert traj.n_samples == 5001
-    proj = classical.mode_projection(traj, basis, u)
-    coords, table, _ = cli._reduce_blocks(u, [basis], [n, n - 1], *run)
-    for k, d in enumerate("zxy"):
-        assert np.array_equal(coords[k], proj.coordinates[d])
-        assert np.array_equal(table[:, 1 + k * n:1 + (k + 1) * n],
-                              proj.energies[d])
-
-
 @pytest.fixture
 def solves(monkeypatch):
     """The chain lengths `solve_equilibrium` is called with, from now on."""
@@ -1388,14 +1331,25 @@ _OUT_OF_RANGE = {
     "at least 2": [("1", "config key {key!r} must be at least 2"),
                    ("-3", "config key {key!r} must be at least 2")],
 }
+# per mode-map parse: a repeated mode, and non-finite amplitudes
+_MODE_FAULTS = {
+    cli._parse_mode_map: [
+        ("z2:1e-2,z2:2e-2", "mode z2 repeated in 'z2:1e-2,z2:2e-2'"),
+        ("x1:1e-3, x01:0", "mode x1 repeated in 'x1:1e-3, x01:0'"),
+    ] + [(f"z2:{text}", f"amplitude of mode z2 must be finite, got {text}")
+         for text in ("nan", "inf", "-inf", "1e400")],
+    cli._parse_occupations: [
+        ("z5:1,z5:0", "mode z5 repeated in 'z5:1,z5:0'"),
+    ],
+}
 _CONFIG_BASES = {"simulate": SIM_CONFIG,
                  "classical": "n = 2\nalpha = 0.5\ndisplacement = z2:1e-3\n"}
 
 
 def _declared_key_faults():
     """(command, config, message) for each key each command declares: a
-    malformed value, inf and -inf, and where the key has a range rule,
-    values outside it."""
+    malformed value, inf and -inf, where the key has a range rule, values
+    outside it, and for a mode map its own faults."""
     cases = []
     for command, declaration in cli._CONFIGS.items():
         for key, (parse, _, rule) in declaration.items():
@@ -1406,6 +1360,7 @@ def _declared_key_faults():
                                           for text in ("inf", "-inf")]
             if rule is not None:
                 faults += _OUT_OF_RANGE[rule[1]]
+            faults += _MODE_FAULTS.get(parse, [])
             for text, message in faults:
                 cases.append(pytest.param(
                     command, _set_keys(_CONFIG_BASES[command],
@@ -1642,6 +1597,19 @@ def test_cli_reads_no_private_quantum_name():
         if isinstance(node, ast.ImportFrom) and node.module == "quantum"
         for alias in node.names if alias.name.startswith("_")]
     assert reads == []
+
+
+def test_cli_leaves_the_classical_block_loop_to_classical():
+    # what a streamed run needs to equal a stored one is known in
+    # `classical` only: the command calls its block reducer
+    path = Path(cli.__file__)
+    reads = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.value.id == "classical_mod"}
+    assert "_reduce_blocks" in reads
+    assert not reads & {"_sample_blocks", "_reference_pairs",
+                        "_assemble_initial", "_project", "_energy"}
 
 
 def test_console_script_entry_point():
